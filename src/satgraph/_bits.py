@@ -31,10 +31,6 @@ def get_bit(rows: np.ndarray, r: int, c: int) -> int:
     return int((rows[r, c >> 6] >> np.uint64(c & 63)) & np.uint64(1))
 
 
-def set_bit(rows: np.ndarray, r: int, c: int) -> None:
-    rows[r, c >> 6] |= np.uint64(1 << (c & 63))
-
-
 def clear_bit_in_row(row: np.ndarray, c: int) -> None:
     row[c >> 6] &= np.uint64(~(1 << (c & 63)) & 0xFFFFFFFFFFFFFFFF)
 
@@ -104,27 +100,3 @@ def _transpose64_stripe(x: np.ndarray) -> None:
         t = ((lo >> shift) ^ hi) & mask
         hi ^= t
         lo ^= t << shift
-
-
-def transpose_bit_matrix(packed: np.ndarray, nbits: int) -> np.ndarray:
-    """Transpose of an nbits x nbits packed bit matrix, via 64x64 bit blocks.
-
-    Stays at the word level throughout, which beats byte-unpacked
-    transposes by roughly an order of magnitude on large matrices.
-    """
-    w = word_count(nbits)
-    out = np.empty((w, 64, w), dtype=np.uint64)  # out[b, r, a] = row b*64+r, word a
-    stripe = np.zeros((64, w), dtype=np.uint64)
-    group = 8  # write groups of 8 word-columns: one cache line per output row
-    for a0 in range(0, w, group):
-        a1 = min(w, a0 + group)
-        stack = np.empty((w, 64, a1 - a0), dtype=np.uint64)
-        for q, a in enumerate(range(a0, a1)):
-            r0, r1 = a * 64, min((a + 1) * 64, nbits)
-            stripe[: r1 - r0] = packed[r0:r1]
-            if r1 - r0 < 64:
-                stripe[r1 - r0 :] = 0
-            _transpose64_stripe(stripe)
-            stack[:, :, q] = stripe.T
-        out[:, :, a0:a1] = stack
-    return out.reshape(w * 64, w)[:nbits]

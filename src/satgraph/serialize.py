@@ -15,7 +15,6 @@ from typing import IO, Any
 import numpy as np
 
 from .graphs import FiniteGraph
-from .morphisms import GraphMap
 from .towers import Tower
 
 _MAX_SEED = 2**64 - 1
@@ -90,13 +89,18 @@ def write_tower(t: Tower, fp: IO[str]) -> None:
             fp.write(",")
         write_graph(g, fp)
     fp.write('],"bonds":[')
-    for idx, bond in enumerate(t.bonds):
+    for idx, m in enumerate(t.per_level_m):
         if idx:
             fp.write(",")
-        fp.write("[" + ",".join(map(str, bond.image.tolist())) + "]")
+        fp.write("[" + ",".join(map(str, _division_bond(t.levels[idx + 1], m))) + "]")
     fp.write('],"per_level_m":[')
     fp.write(",".join(str(m) for m in t.per_level_m))
     fp.write("]}\n")
+
+
+def _division_bond(g: FiniteGraph, m: int) -> list[int]:
+    """Parent of every vertex of a level built with ``m + 1`` copies."""
+    return (np.arange(g.vertex_count) // (m + 1)).tolist()
 
 
 def encode_tower(t: Tower) -> str:
@@ -135,18 +139,15 @@ def tower_from_obj(obj: Any) -> Tower:
     for d, m in enumerate(per_level_m):
         if levels[d + 1].vertex_count != levels[d].vertex_count * (m + 1):
             raise FormatError(f"level {d + 1} size does not match per_level_m")
-    bonds = []
-    for d, arr in enumerate(bonds_obj):
-        src, tgt = levels[d + 1], levels[d]
-        if not isinstance(arr, list) or len(arr) != src.vertex_count:
-            raise FormatError(f"bond {d} must list one parent per level-{d + 1} vertex")
-        if not all(
-            isinstance(x, int) and not isinstance(x, bool) and 0 <= x < tgt.vertex_count
-            for x in arr
+    for d, (arr, m) in enumerate(zip(bonds_obj, per_level_m)):
+        # True == 1 and 1.0 == 1, so the list comparison alone would admit them
+        if (
+            not isinstance(arr, list)
+            or arr != _division_bond(levels[d + 1], m)
+            or not all(type(x) is int for x in arr)
         ):
-            raise FormatError(f"bond {d} has a parent out of range")
-        bonds.append(GraphMap(src, tgt, np.asarray(arr, dtype=np.int64)))
-    return Tower(n, seed, levels, tuple(bonds), tuple(per_level_m))
+            raise FormatError(f"bond {d} is not the division map v -> v // {m + 1}")
+    return Tower(n, seed, levels, tuple(per_level_m))
 
 
 def decode_tower(text: str) -> Tower:

@@ -3,16 +3,18 @@
 A tower is a finite initial segment of an inverse system: level 0 is the
 complete graph on n vertices, every later level is a verified n-saturated
 product extension of the one below, and the bonding maps are the fiber
-projections.  Vertices of the limit graph are bond-consistent threads; the
-artifact only ever materializes finite prefixes of them.  Limit adjacency
-of two threads is a statement about every level at once, so the API
-reports either a definite non-adjacency certificate (a level where the
-entries are non-adjacent, which persists upward) or "adjacent through the
-materialized depth".
+projections ``v -> v // (m+1)``, so ``per_level_m`` determines them.
+Vertices of the limit graph are bond-consistent threads; the artifact only
+ever materializes finite prefixes of them.  Limit adjacency of two threads
+is a statement about every level at once, so the API reports either a
+definite non-adjacency certificate (a level where the entries are
+non-adjacent, which persists upward) or "adjacent through the materialized
+depth".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -21,7 +23,7 @@ import numpy as np
 from . import _bits
 from .builder import BuildParams, build_extension, check_product_lifting
 from .graphs import FiniteGraph, TypeSpec, find_realizer, is_n_saturated
-from .morphisms import GraphMap, check_lifting_property, is_quotient_map
+from .morphisms import GraphMap
 
 
 class TooManyConstraints(ValueError):
@@ -87,17 +89,29 @@ class RealizerHandle:
 
 @dataclass(frozen=True)
 class Tower:
-    """Levels G_0..G_D with fiber-projection bonds and per-step copy counts."""
+    """Levels G_0..G_D and per-step copy counts.
+
+    Level d+1 holds ``per_level_m[d] + 1`` copies of every level-d vertex,
+    at indices ``base * (m+1) + copy``, so the bond from level d+1 to level
+    d is always the division map ``v -> v // (m+1)`` and is not stored.
+    """
 
     n: int
     seed: int
     levels: tuple[FiniteGraph, ...]
-    bonds: tuple[GraphMap, ...]
     per_level_m: tuple[int, ...]
 
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
+
+    @property
+    def bonds(self) -> tuple[GraphMap, ...]:
+        """The bonds as explicit maps, derived from ``per_level_m`` on each access."""
+        return tuple(
+            GraphMap(hi, lo, np.arange(hi.vertex_count) // (m + 1))
+            for lo, hi, m in zip(self.levels, self.levels[1:], self.per_level_m)
+        )
 
     def truncated(self, depth: int) -> "Tower":
         if not 0 <= depth <= self.depth:
@@ -106,7 +120,6 @@ class Tower:
             self.n,
             self.seed,
             self.levels[: depth + 1],
-            self.bonds[:depth],
             self.per_level_m[:depth],
         )
 
@@ -121,7 +134,7 @@ def new_tower(n: int, seed: int) -> Tower:
     """Depth-0 tower holding only the complete graph on n vertices."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return Tower(n, int(seed), (FiniteGraph.complete(n),), (), ())
+    return Tower(n, int(seed), (FiniteGraph.complete(n),), ())
 
 
 def extend_tower(
@@ -144,15 +157,9 @@ def extend_tower(
         m=m_override,
         max_attempts=max_attempts,
     )
-    graph, bond, _ = build_extension(params)
+    graph, _, _ = build_extension(params)
     m = graph.vertex_count // top.vertex_count - 1
-    return Tower(
-        t.n,
-        t.seed,
-        t.levels + (graph,),
-        t.bonds + (bond,),
-        t.per_level_m + (m,),
-    )
+    return Tower(t.n, t.seed, t.levels + (graph,), t.per_level_m + (m,))
 
 
 def rebuild_tower(
@@ -186,11 +193,6 @@ class TowerReport:
         return self.ok
 
 
-def _is_division_map(bond: GraphMap, copies: int) -> bool:
-    expected = np.arange(bond.source.vertex_count) // copies
-    return np.array_equal(bond.image, expected)
-
-
 def _fiber_union(src: FiniteGraph, v_tgt: int, copies: int) -> np.ndarray:
     view = src.packed_rows.reshape(v_tgt, copies, -1)
     return np.bitwise_or.reduce(view, axis=1)
@@ -208,7 +210,7 @@ def _cover_matrix(union: np.ndarray, v_tgt: int, copies: int) -> np.ndarray:
 
 
 def _check_division_quotient(src: FiniteGraph, tgt: FiniteGraph, copies: int) -> Optional[str]:
-    """Quotient-map check for a fiber projection; None when it passes.
+    """Quotient-map check for a division bond; None when it passes.
 
     Some pair of fibers carries an edge exactly when the base pair must be
     adjacent (edge preservation) and conversely every base edge must be
@@ -230,11 +232,13 @@ def _check_division_quotient(src: FiniteGraph, tgt: FiniteGraph, copies: int) ->
 def verify_tower(t: Tower) -> TowerReport:
     """Re-check every tower invariant from the raw data, stopping at the first failure.
 
-    Checks, in order: structural consistency and the complete level 0;
-    exhaustive n-saturation of every level above 0; each bond a quotient
-    map; each bond's lifting guarantee for configurations over distinct
-    base vertices; and one-step splitting (every vertex has at least two
-    preimages one level up).
+    Checks, in order: structural consistency (level sizes match the
+    product encoding, every m >= 1) and the complete level 0; exhaustive
+    n-saturation of every level above 0; each bond a quotient map, by the
+    fiber-union cover test; each bond's lifting guarantee for
+    configurations over distinct base vertices; and one-step splitting
+    (every vertex has at least two preimages one level up).  The bonds are
+    the division maps derived from ``per_level_m``.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -245,8 +249,8 @@ def verify_tower(t: Tower) -> TowerReport:
     def passed(name: str, detail: str = "") -> None:
         checks.append((name, True, detail))
 
-    if len(t.levels) != len(t.bonds) + 1 or len(t.per_level_m) != len(t.bonds):
-        return failed("structure", "levels, bonds and per_level_m lengths disagree")
+    if len(t.levels) != len(t.per_level_m) + 1:
+        return failed("structure", "levels and per_level_m lengths disagree")
     if t.n < 1:
         return failed("structure", "n must be positive")
     if t.levels[0] != FiniteGraph.complete(t.n):
@@ -259,9 +263,6 @@ def verify_tower(t: Tower) -> TowerReport:
             return failed(
                 "structure", f"level {d + 1} size does not match the product encoding"
             )
-        if t.bonds[d].source is not hi or t.bonds[d].target is not lo:
-            if t.bonds[d].source != hi or t.bonds[d].target != lo:
-                return failed("structure", f"bond {d} does not connect levels {d + 1}->{d}")
     passed("structure")
 
     for d in range(1, len(t.levels)):
@@ -274,24 +275,14 @@ def verify_tower(t: Tower) -> TowerReport:
             )
         passed(f"saturation[level {d}]")
 
-    for d, bond in enumerate(t.bonds):
-        copies = t.per_level_m[d] + 1
-        if _is_division_map(bond, copies):
-            detail = _check_division_quotient(t.levels[d + 1], t.levels[d], copies)
-            if detail is not None:
-                return failed(f"quotient[bond {d}]", detail)
-        elif not is_quotient_map(bond):
-            return failed(f"quotient[bond {d}]", "bond is not a quotient map")
+    for d, m in enumerate(t.per_level_m):
+        detail = _check_division_quotient(t.levels[d + 1], t.levels[d], m + 1)
+        if detail is not None:
+            return failed(f"quotient[bond {d}]", detail)
         passed(f"quotient[bond {d}]")
 
-    for d, bond in enumerate(t.bonds):
-        m = t.per_level_m[d]
-        if _is_division_map(bond, m + 1):
-            rep = check_product_lifting(
-                t.levels[d + 1], t.levels[d], m, t.n, distinct_bases=True
-            )
-        else:
-            rep = check_lifting_property(bond, t.n)
+    for d, m in enumerate(t.per_level_m):
+        rep = check_product_lifting(t.levels[d + 1], t.levels[d], m, t.n, distinct_bases=True)
         if not rep.holds:
             i, targets = rep.counterexample
             return failed(
@@ -300,11 +291,8 @@ def verify_tower(t: Tower) -> TowerReport:
             )
         passed(f"lifting[bond {d}]")
 
-    for d, bond in enumerate(t.bonds):
-        counts = np.bincount(bond.image, minlength=t.levels[d].vertex_count)
-        if (counts < 2).any():
-            v = int(np.argmax(counts < 2))
-            return failed(f"splitting[bond {d}]", f"vertex {v} has fewer than 2 preimages")
+    # every fiber of a division bond has m + 1 members, and "structure" checked m >= 1
+    for d in range(len(t.per_level_m)):
         passed(f"splitting[bond {d}]")
 
     return TowerReport(True, tuple(checks))
@@ -329,7 +317,7 @@ def validate_prefix(t: Tower, prefix: ThreadLike) -> ThreadPrefix:
         if not 0 <= e < t.levels[level].vertex_count:
             raise ValueError(f"entry {e} out of range at level {level}")
     for level in range(prefix.depth):
-        if int(t.bonds[level].image[prefix.entries[level + 1]]) != prefix.entries[level]:
+        if prefix.entries[level + 1] // (t.per_level_m[level] + 1) != prefix.entries[level]:
             raise ValueError(f"prefix is not bond-consistent at level {level}")
     return prefix
 
@@ -338,10 +326,9 @@ def project(t: Tower, from_level: int, to_level: int, vertex: int) -> int:
     """Image of a vertex under the composed bonds from_level -> to_level."""
     if not 0 <= to_level <= from_level <= t.depth:
         raise ValueError("levels out of range")
-    v = vertex
-    for level in range(from_level - 1, to_level - 1, -1):
-        v = int(t.bonds[level].image[v])
-    return v
+    if not 0 <= vertex < t.levels[from_level].vertex_count:
+        raise ValueError("vertex out of range")
+    return vertex // math.prod(m + 1 for m in t.per_level_m[to_level:from_level])
 
 
 def canonical_extension(t: Tower, prefix: ThreadLike, target_depth: int) -> ThreadPrefix:
@@ -364,7 +351,7 @@ def canonical_thread(t: Tower, level: int, vertex: int) -> ThreadPrefix:
     entries = [0] * (level + 1)
     entries[level] = vertex
     for d in range(level - 1, -1, -1):
-        entries[d] = int(t.bonds[d].image[entries[d + 1]])
+        entries[d] = entries[d + 1] // (t.per_level_m[d] + 1)
     return canonical_extension(t, ThreadPrefix(tuple(entries)), t.depth)
 
 
@@ -372,9 +359,8 @@ def random_thread(t: Tower, seed: int) -> ThreadPrefix:
     """Seeded random bond-consistent thread through the whole tower."""
     rng = np.random.default_rng(seed)
     entries = [int(rng.integers(t.levels[0].vertex_count))]
-    for level in range(t.depth):
-        fiber = np.nonzero(t.bonds[level].image == entries[-1])[0]
-        entries.append(int(fiber[rng.integers(len(fiber))]))
+    for m in t.per_level_m:
+        entries.append(entries[-1] * (m + 1) + int(rng.integers(m + 1)))
     return ThreadPrefix(tuple(entries))
 
 
@@ -463,7 +449,7 @@ def realize_type(
     entries = [0] * (t.depth + 1)
     entries[level] = realizer
     for d in range(level - 1, -1, -1):
-        entries[d] = int(t.bonds[d].image[entries[d + 1]])
+        entries[d] = entries[d + 1] // (t.per_level_m[d] + 1)
     positives = tuple(c for c, bit in cons if bit == 1)
     for d in range(level, t.depth):
         entries[d + 1] = _lift_step(t, d, entries[d], positives)
@@ -477,11 +463,10 @@ def realize_type(
 
 def _lift_step(t: Tower, d: int, current: int, positives: Sequence[ThreadPrefix]) -> int:
     """Smallest preimage of ``current`` adjacent to every positive entry at level d+1."""
-    fiber = np.nonzero(t.bonds[d].image == current)[0]
+    copies = t.per_level_m[d] + 1
     graph = t.levels[d + 1]
     wanted = [p.entries[d + 1] for p in positives]
-    for w in fiber:
-        w = int(w)
+    for w in range(current * copies, (current + 1) * copies):
         if all(graph.adjacent(w, x) for x in wanted):
             return w
     raise RuntimeError(

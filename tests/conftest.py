@@ -1,9 +1,33 @@
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from satgraph.towers import Tower, extend_tower, new_tower
+
+
+@pytest.fixture(scope="session")
+def relabel_top_level():
+    """Relabel the top level of a decoded tower file by a seeded permutation.
+
+    The bond above it becomes ``bond o perm^-1``: still a quotient map onto
+    the level below, but no longer the division map ``v -> v // (m+1)``.
+    """
+
+    def relabel(obj: dict, seed: int = 0) -> dict:
+        top = obj["levels"][-1]
+        perm = np.random.default_rng(seed).permutation(top["v"]).tolist()
+        edges = sorted(sorted((perm[a], perm[b])) for a, b in top["edges"])
+        bond = [0] * top["v"]
+        for v, parent in enumerate(obj["bonds"][-1]):
+            bond[perm[v]] = parent
+        out = dict(obj)
+        out["levels"] = obj["levels"][:-1] + [{"v": top["v"], "edges": edges}]
+        out["bonds"] = obj["bonds"][:-1] + [bond]
+        return out
+
+    return relabel
 
 
 @dataclass(frozen=True)

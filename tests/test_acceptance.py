@@ -27,7 +27,7 @@ from satgraph.graphs import (
     oracle_is_n_saturated,
     random_graph,
 )
-from satgraph.morphisms import GraphMap, is_quotient_map
+from satgraph.morphisms import is_quotient_map
 from satgraph.serialize import decode_tower, encode_tower, load_tower, save_tower
 from satgraph.towers import (
     Tower,
@@ -120,8 +120,8 @@ def test_acceptance_4_certified_build_n3_depth2(tower_n3_depth2):
 def test_acceptance_5_certified_build_n4_single_extension():
     start = time.perf_counter()
     base = FiniteGraph.complete(4)
-    g, bond, attempts = build_extension(BuildParams(4, base, seed=7, max_attempts=100))
-    t = Tower(4, 7, (base, g), (bond,), (g.vertex_count // 4 - 1,))
+    g, _, attempts = build_extension(BuildParams(4, base, seed=7, max_attempts=100))
+    t = Tower(4, 7, (base, g), (g.vertex_count // 4 - 1,))
     rep = verify_tower(t)
     elapsed = time.perf_counter() - start
     report(
@@ -197,7 +197,6 @@ def test_acceptance_8_determinism_and_round_trip(tmp_path, capsys):
             tower.n,
             tower.seed,
             (tower.levels[0], mutated_top),
-            (GraphMap(mutated_top, tower.levels[0], tower.bonds[0].image),),
             tower.per_level_m,
         )
         save_tower(mutated, str(mpath))

@@ -1,6 +1,7 @@
 import numpy as np
 
 from satgraph import _bits
+from satgraph.builder import _symmetrize_in_place
 
 
 def reference_transpose(packed, nbits):
@@ -8,25 +9,14 @@ def reference_transpose(packed, nbits):
     return _bits.pack_bits(np.ascontiguousarray(bits.T))
 
 
-def test_transpose_bit_matrix_matches_reference():
+def test_symmetrize_in_place_matches_reference():
     rng = np.random.default_rng(3)
     for nbits in (1, 7, 63, 64, 65, 100, 200, 257):
-        w = _bits.word_count(nbits)
-        packed = rng.integers(0, 2**63, size=(nbits, w), dtype=np.uint64)
-        tail = nbits % 64
-        if tail:
-            packed[:, -1] &= np.uint64((1 << tail) - 1)
-        got = _bits.transpose_bit_matrix(packed, nbits)
-        assert np.array_equal(got, reference_transpose(packed, nbits)), nbits
-
-
-def test_transpose_is_involution():
-    rng = np.random.default_rng(4)
-    nbits = 150
-    packed = rng.integers(0, 2**63, size=(nbits, _bits.word_count(nbits)), dtype=np.uint64)
-    packed[:, -1] &= np.uint64((1 << (nbits % 64)) - 1)
-    back = _bits.transpose_bit_matrix(_bits.transpose_bit_matrix(packed, nbits), nbits)
-    assert np.array_equal(back, packed)
+        upper = np.triu(rng.integers(0, 2, size=(nbits, nbits), dtype=np.uint8), k=1)
+        packed = _bits.pack_bits(upper)
+        expected = packed | reference_transpose(packed, nbits)
+        _symmetrize_in_place(packed, nbits)
+        assert np.array_equal(packed, expected), nbits
 
 
 def test_pack_unpack_round_trip():

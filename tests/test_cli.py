@@ -13,7 +13,6 @@ from satgraph.cli import (
 from satgraph.serialize import encode_tower, load_tower
 from satgraph.towers import Tower, extend_tower, new_tower
 from satgraph.graphs import FiniteGraph
-from satgraph.morphisms import GraphMap
 from satgraph import serialize
 
 
@@ -76,7 +75,6 @@ def test_verify_catches_single_edge_deletion(tower_file, tmp_path, capsys):
         tower.n,
         tower.seed,
         tower.levels[:-1] + (mutated_top,),
-        tower.bonds[:-1] + (GraphMap(mutated_top, tower.levels[-2], tower.bonds[-1].image),),
         tower.per_level_m,
     )
     path = tmp_path / "mutated.json"
@@ -84,6 +82,15 @@ def test_verify_catches_single_edge_deletion(tower_file, tmp_path, capsys):
         serialize.write_tower(mutated, fp)
     code, out, err = run(["verify", "--in", str(path)], capsys)
     assert code == EXIT_VERIFY
+
+
+def test_verify_relabelled_top_level_malformed(tower_file, tmp_path, capsys, relabel_top_level):
+    with open(tower_file) as fp:
+        relabelled = relabel_top_level(json.load(fp))
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(relabelled, separators=(",", ":")))
+    code, _, err = run(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_MALFORMED
 
 
 def test_verify_truncated_file_malformed(tower_file, tmp_path, capsys):

@@ -1,14 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
 from satgraph.graphs import FiniteGraph
+from satgraph.morphisms import GraphMap, is_quotient_map
 from satgraph.serialize import (
     FormatError,
     decode_graph,
     decode_tower,
     encode_graph,
     encode_tower,
+    graph_from_obj,
     level_to_dot,
     load_tower,
     save_tower,
@@ -68,7 +71,7 @@ def test_tower_file_round_trip(tower, tmp_path):
     assert verify_tower(loaded).ok
 
 
-def test_tower_decode_rejects_malformed(tower):
+def test_tower_decode_rejects_malformed(tower, relabel_top_level):
     text = encode_tower(tower)
     obj = json.loads(text)
 
@@ -108,6 +111,27 @@ def test_tower_decode_rejects_malformed(tower):
     wrong["seed"] = -1
     with pytest.raises(FormatError):
         decode_tower(dumps(wrong))
+
+    # a relabelled top level: its bond is a quotient map, but not the division map
+    wrong = relabel_top_level(json.loads(text))
+    bond = GraphMap(
+        graph_from_obj(wrong["levels"][-1]),
+        tower.levels[-2],
+        np.asarray(wrong["bonds"][-1]),
+    )
+    assert is_quotient_map(bond)
+    assert wrong["bonds"][-1] != obj["bonds"][-1]
+    with pytest.raises(FormatError):
+        decode_tower(dumps(wrong))
+
+    # True == 1 and 1.0 == 1 in Python, but neither is a JSON integer
+    first_one = obj["per_level_m"][0] + 1
+    for fake_one in (True, 1.0):
+        wrong = json.loads(text)
+        wrong["bonds"][0][first_one] = fake_one
+        assert wrong["bonds"][0] == obj["bonds"][0]
+        with pytest.raises(FormatError):
+            decode_tower(dumps(wrong))
 
 
 def test_missing_file_is_format_error(tmp_path):

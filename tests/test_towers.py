@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from satgraph.builder import minimal_certified_m
-from satgraph.graphs import FiniteGraph, is_weakly_n_saturated
-from satgraph.morphisms import GraphMap, compose, is_quotient_map
+from satgraph.graphs import FiniteGraph, TypeSpec, find_realizer, is_weakly_n_saturated
+from satgraph.morphisms import compose, is_quotient_map
 from satgraph.towers import (
     AdjacencyStatus,
     NotSeparated,
@@ -108,10 +108,6 @@ def test_verify_catches_deleted_edge(t2_small):
         t2_small.n,
         t2_small.seed,
         (t2_small.levels[0], mutated_level, t2_small.levels[2]),
-        (
-            GraphMap(mutated_level, t2_small.levels[0], t2_small.bonds[0].image),
-            GraphMap(t2_small.levels[2], mutated_level, t2_small.bonds[1].image),
-        ),
         t2_small.per_level_m,
     )
     report = verify_tower(mutated)
@@ -139,8 +135,6 @@ def test_verify_catches_added_edge(t2_small):
         t2_small.n,
         t2_small.seed,
         t2_small.levels[:-1] + (mutated_top,),
-        t2_small.bonds[:-1]
-        + (GraphMap(mutated_top, base, t2_small.bonds[-1].image),),
         t2_small.per_level_m,
     )
     report = verify_tower(mutated)
@@ -153,7 +147,6 @@ def test_verify_structure_failures(t2_small):
         3,
         t2_small.seed,
         t2_small.levels,
-        t2_small.bonds,
         t2_small.per_level_m,
     )
     report = verify_tower(bad)
@@ -194,6 +187,64 @@ def test_canonical_thread_projects_down(t2_small):
 def test_random_threads_are_consistent(t2_small):
     for seed in range(20):
         validate_prefix(t2_small, random_thread(t2_small, seed))
+
+
+def test_threads_match_fiber_scan_oracle(t2_small):
+    # the pre-arithmetic implementation: parents by indexing the bond image,
+    # fibers by scanning it, with the same RNG draws
+    t = t2_small
+    images = [np.arange(g.vertex_count) // (m + 1) for g, m in zip(t.levels[1:], t.per_level_m)]
+    for d, bond in enumerate(t.bonds):
+        assert np.array_equal(bond.image, images[d])
+
+    def fiber(d, e):
+        return np.nonzero(images[d] == e)[0]
+
+    def down(level, v):
+        entries = [v]
+        for d in range(level - 1, -1, -1):
+            entries.insert(0, int(images[d][entries[0]]))
+        return entries
+
+    top = t.levels[-1].vertex_count
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        entries = [int(rng.integers(t.levels[0].vertex_count))]
+        for d in range(t.depth):
+            f = fiber(d, entries[-1])
+            entries.append(int(f[rng.integers(len(f))]))
+        assert random_thread(t, seed).entries == tuple(entries)
+
+        v = (seed * 37) % top
+        assert project(t, 2, 0, v) == down(2, v)[0]
+        assert project(t, 2, 1, v) == down(2, v)[1]
+        level = seed % 3
+        u = (seed * 11) % t.levels[level].vertex_count
+        expected = down(level, u)
+        for d in range(level, t.depth):
+            expected.append(int(fiber(d, expected[-1])[0]))
+        assert canonical_thread(t, level, u).entries == tuple(expected)
+
+        c, bit = random_thread(t, seed + 100), seed % 2
+        realizers = [
+            find_realizer(t.levels[d], TypeSpec(((c.entries[d], bit),)))
+            for d in range(t.depth + 1)
+        ]
+        sep = next(d for d, r in enumerate(realizers) if r is not None)
+        expected = down(sep, realizers[sep])
+        for d in range(sep, t.depth):
+            expected.append(
+                next(
+                    int(w)
+                    for w in fiber(d, expected[-1])
+                    if bit == 0 or t.levels[d + 1].adjacent(int(w), c.entries[d + 1])
+                )
+            )
+        h = realize_type(t, [(c, bit)])
+        assert (h.separation_level, h.prefix.entries) == (sep, tuple(expected))
+
+    with pytest.raises(ValueError):
+        project(t, 2, 0, top)
 
 
 def test_adjacency_status_reflexive_and_root(t2_small):
