@@ -13,7 +13,6 @@ attempt.  The accepted sample is verified exhaustively either way.
 from fractions import Fraction
 
 from satgraph import (
-    BuildParams,
     FiniteGraph,
     build_extension,
     check_product_lifting,
@@ -45,12 +44,13 @@ print("A certified 3-saturated extension of K_3")
 print("=" * 70)
 
 base = FiniteGraph.complete(3)
-graph, projection, attempts = build_extension(BuildParams(3, base, seed=11))
+graph, attempts = build_extension(3, base, seed=11)
 m = graph.vertex_count // 3 - 1
 print(f"sampled graph: {graph} (m={m}, attempts={attempts})")
 print(f"exhaustively 3-saturated: {is_n_saturated(graph, 3).holds}")
 print(f"fiber lifting guarantee:  {check_product_lifting(graph, base, m, 3).holds}")
-print(f"projection maps {graph.vertex_count} vertices onto {base.vertex_count} fibers")
+print(f"division bond v -> v // {m + 1} maps {graph.vertex_count} vertices onto "
+      f"{base.vertex_count} fibers")
 
 combined = saturation_failure_bound(3, 3, m) + lifting_failure_bound(3, 3, m)
 print(f"certified failure bound at this m: {float(combined):.4f} "

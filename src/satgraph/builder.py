@@ -7,14 +7,13 @@ for every remaining pair.  Exact rational union bounds control the
 probability that a sample fails to be n-saturated or fails the fiber
 lifting guarantee; once their sum drops below 1, rejection sampling is
 certified to terminate with positive per-attempt probability.  Every
-accepted sample is re-verified exhaustively, so empirical (uncertified)
-parameter choices are equally sound, just not guaranteed fast.
+accepted sample is re-verified exhaustively, so a caller-chosen
+(uncertified) m is equally sound, just not guaranteed fast.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional, Union
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import _bits
 from .graphs import FiniteGraph, is_n_saturated, is_weakly_n_saturated
-from .morphisms import GraphMap, LiftingReport
+from .morphisms import LiftingReport
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -132,11 +131,11 @@ class _BitStream:
         self._pos = 0
 
 
-def sample_product_graph(
-    base: FiniteGraph, m: int, seed: SeedLike
-) -> tuple[FiniteGraph, GraphMap]:
-    """Draw one product graph over ``base`` plus its fiber projection.
+def sample_product_graph(base: FiniteGraph, m: int, seed: SeedLike) -> FiniteGraph:
+    """Draw one product graph over ``base``.
 
+    Vertex ``b * (m+1) + l`` is copy l of base vertex b, so the fiber
+    projection onto the base is the division map ``v -> v // (m+1)``.
     Copy 0 reproduces the base exactly, fibers over non-adjacent base
     vertices stay non-adjacent, every other cross pair gets an independent
     fair coin, and all loops are present.  Coins are consumed in
@@ -181,9 +180,7 @@ def sample_product_graph(
     _symmetrize_in_place(packed, v)
     diag = np.arange(v)
     packed[diag, diag >> 6] |= np.uint64(1) << (diag & 63).astype(np.uint64)
-    graph = FiniteGraph(v, packed, validate=False)
-    projection = GraphMap(graph, base, diag // copies)
-    return graph, projection
+    return FiniteGraph(v, packed, validate=False)
 
 
 def _symmetrize_in_place(packed: np.ndarray, v: int) -> None:
@@ -327,18 +324,6 @@ def check_product_lifting(
 # -- rejection sampling ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuildParams:
-    """Inputs to one certified or empirical extension step."""
-
-    n: int
-    base: FiniteGraph
-    seed: int
-    mode: str = "certified"
-    m: Optional[int] = None
-    max_attempts: int = 64
-
-
 class AttemptsExhausted(RuntimeError):
     """Rejection sampling ran out of attempts before finding a valid sample."""
 
@@ -353,33 +338,33 @@ def attempt_seed(seed: int, attempt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(attempt,))
 
 
-def build_extension(params: BuildParams) -> tuple[FiniteGraph, GraphMap, int]:
+def build_extension(
+    n: int,
+    base: FiniteGraph,
+    seed: int,
+    m: Optional[int] = None,
+    max_attempts: int = 64,
+) -> tuple[FiniteGraph, int]:
     """Sample product graphs until one passes both exhaustive verifications.
 
-    Certified mode picks m via :func:`minimal_certified_m`, making the
-    expected number of attempts at most 1 / (1 - combined bound).  The
-    returned graph is n-saturated and satisfies the fiber lifting
-    guarantee; both facts are checked, never assumed.
+    With ``m`` left as None, m is :func:`minimal_certified_m`, which makes
+    the expected number of attempts at most 1 / (1 - combined bound).  Any
+    other ``m`` is used as given, uncertified.  Either way the returned
+    graph is n-saturated and satisfies the fiber lifting guarantee; both
+    facts are checked, never assumed.  Returns the graph and the number of
+    attempts it took.
     """
-    if params.mode not in ("certified", "empirical"):
-        raise ValueError("mode must be 'certified' or 'empirical'")
-    if params.max_attempts < 1:
+    if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
-    n, base = params.n, params.base
     if not is_weakly_n_saturated(base, n).holds:
         raise ValueError("base graph must be weakly n-saturated")
-    if params.mode == "certified":
+    if m is None:
         m = minimal_certified_m(n, base.vertex_count)
-    else:
-        if params.m is None:
-            raise ValueError("empirical mode requires an explicit m")
-        m = params.m
     if m < 1:
         raise ValueError("m must be at least 1")
-    graph = projection = None
-    for attempt in range(params.max_attempts):
-        graph = projection = None  # release the rejected sample before drawing anew
-        graph, projection = sample_product_graph(base, m, attempt_seed(params.seed, attempt))
+    for attempt in range(max_attempts):
+        graph = None  # release the rejected sample before drawing anew
+        graph = sample_product_graph(base, m, attempt_seed(seed, attempt))
         if is_n_saturated(graph, n).holds and check_product_lifting(graph, base, m, n).holds:
-            return graph, projection, attempt + 1
-    raise AttemptsExhausted(params.max_attempts, m)
+            return graph, attempt + 1
+    raise AttemptsExhausted(max_attempts, m)

@@ -62,8 +62,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="saturation target")
     p.add_argument("--depth", type=int, required=True, help="number of extension steps")
     p.add_argument("--seed", type=int, default=0, help="64-bit base seed")
-    p.add_argument("--mode", choices=["certified", "empirical"], default="certified")
-    p.add_argument("--m", type=int, default=None, help="copies per step (empirical mode)")
+    p.add_argument("--m", type=int, default=None, help="copies per step (default: certified)")
     p.add_argument("--max-attempts", type=int, default=64)
     p.add_argument("--out", required=True, help="output tower file")
 
@@ -71,8 +70,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--depth", type=int, required=True, help="target depth")
-    p.add_argument("--mode", choices=["certified", "empirical"], default="certified")
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, default=None, help="copies per step (default: certified)")
     p.add_argument("--max-attempts", type=int, default=64)
 
     p = sub.add_parser("verify", help="re-verify all invariants of a stored tower")
@@ -106,11 +104,9 @@ def build_parser() -> _Parser:
 def _cmd_build(args) -> int:
     if args.n < 1 or args.depth < 0:
         raise UsageError("need --n >= 1 and --depth >= 0")
-    if args.mode == "empirical" and args.m is None:
-        raise UsageError("empirical mode requires --m")
     tower = new_tower(args.n, args.seed)
     for _ in range(args.depth):
-        tower = extend_tower(tower, args.mode, args.m, args.max_attempts)
+        tower = extend_tower(tower, args.m, args.max_attempts)
     save_tower(tower, args.out)
     sizes = ",".join(str(g.vertex_count) for g in tower.levels)
     print(f"built n={args.n} depth={tower.depth} levels=[{sizes}] -> {args.out}")
@@ -121,10 +117,8 @@ def _cmd_extend(args) -> int:
     tower = load_tower(args.input)
     if args.depth <= tower.depth:
         raise UsageError(f"target depth {args.depth} not beyond current depth {tower.depth}")
-    if args.mode == "empirical" and args.m is None:
-        raise UsageError("empirical mode requires --m")
     while tower.depth < args.depth:
-        tower = extend_tower(tower, args.mode, args.m, args.max_attempts)
+        tower = extend_tower(tower, args.m, args.max_attempts)
     save_tower(tower, args.out)
     print(f"extended to depth {tower.depth} -> {args.out}")
     return EXIT_OK
@@ -243,7 +237,7 @@ def _cmd_stats(args) -> int:
         saturated = joint = 0
         for trial in range(args.trials):
             ss = np.random.SeedSequence(entropy=args.seed, spawn_key=(m, trial))
-            g, _ = sample_product_graph(base, m, ss)
+            g = sample_product_graph(base, m, ss)
             sat = is_n_saturated(g, args.n).holds
             lift = check_product_lifting(g, base, m, args.n).holds
             saturated += sat

@@ -45,12 +45,18 @@ def encode_graph(g: FiniteGraph) -> str:
     return buf.getvalue()
 
 
-def graph_from_obj(obj: Any) -> FiniteGraph:
+def _graph_vertex_count(obj: Any) -> int:
+    """The checked ``v`` of a graph object, without looking at its edges."""
     if not isinstance(obj, dict) or set(obj.keys()) != {"v", "edges"}:
         raise FormatError('graph object must have exactly the keys "v" and "edges"')
     v = obj["v"]
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise FormatError("vertex count must be a positive integer")
+    return v
+
+
+def graph_from_obj(obj: Any) -> FiniteGraph:
+    v = _graph_vertex_count(obj)
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise FormatError("edges must be a list")
@@ -92,15 +98,15 @@ def write_tower(t: Tower, fp: IO[str]) -> None:
     for idx, m in enumerate(t.per_level_m):
         if idx:
             fp.write(",")
-        fp.write("[" + ",".join(map(str, _division_bond(t.levels[idx + 1], m))) + "]")
+        fp.write("[" + ",".join(map(str, _division_bond(t.levels[idx + 1].vertex_count, m))) + "]")
     fp.write('],"per_level_m":[')
     fp.write(",".join(str(m) for m in t.per_level_m))
     fp.write("]}\n")
 
 
-def _division_bond(g: FiniteGraph, m: int) -> list[int]:
-    """Parent of every vertex of a level built with ``m + 1`` copies."""
-    return (np.arange(g.vertex_count) // (m + 1)).tolist()
+def _division_bond(v: int, m: int) -> list[int]:
+    """Parent of every vertex of a ``v``-vertex level built with ``m + 1`` copies."""
+    return (np.arange(v) // (m + 1)).tolist()
 
 
 def encode_tower(t: Tower) -> str:
@@ -130,23 +136,27 @@ def tower_from_obj(obj: Any) -> Tower:
         raise FormatError("bonds and per_level_m must be lists")
     if len(bonds_obj) != len(levels_obj) - 1 or len(ms_obj) != len(bonds_obj):
         raise FormatError("levels, bonds and per_level_m lengths disagree")
-    levels = tuple(graph_from_obj(g) for g in levels_obj)
+    # the recipe and the bonds are checked from each level's v alone, so a
+    # malformed tower is rejected before any edge list is decoded
+    sizes = [_graph_vertex_count(g) for g in levels_obj]
     per_level_m = []
     for m in ms_obj:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise FormatError("per_level_m entries must be integers >= 1")
         per_level_m.append(m)
     for d, m in enumerate(per_level_m):
-        if levels[d + 1].vertex_count != levels[d].vertex_count * (m + 1):
+        if sizes[d + 1] != sizes[d] * (m + 1):
             raise FormatError(f"level {d + 1} size does not match per_level_m")
     for d, (arr, m) in enumerate(zip(bonds_obj, per_level_m)):
         # True == 1 and 1.0 == 1, so the list comparison alone would admit them
         if (
             not isinstance(arr, list)
-            or arr != _division_bond(levels[d + 1], m)
+            or len(arr) != sizes[d + 1]
+            or arr != _division_bond(sizes[d + 1], m)
             or not all(type(x) is int for x in arr)
         ):
             raise FormatError(f"bond {d} is not the division map v -> v // {m + 1}")
+    levels = tuple(graph_from_obj(g) for g in levels_obj)
     return Tower(n, seed, levels, tuple(per_level_m))
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import _bits
-from .builder import BuildParams, build_extension, check_product_lifting
+from .builder import build_extension, check_product_lifting
 from .graphs import FiniteGraph, TypeSpec, find_realizer, is_n_saturated
 from .morphisms import GraphMap
 
@@ -137,27 +137,16 @@ def new_tower(n: int, seed: int) -> Tower:
     return Tower(n, int(seed), (FiniteGraph.complete(n),), ())
 
 
-def extend_tower(
-    t: Tower,
-    mode: str = "certified",
-    m_override: Optional[int] = None,
-    max_attempts: int = 64,
-) -> Tower:
+def extend_tower(t: Tower, m: Optional[int] = None, max_attempts: int = 64) -> Tower:
     """Append one verified level built over the current top.
 
-    The build seed depends only on (tower seed, current depth), so growing
-    a tower in stages and growing it in one go produce identical levels.
+    ``m`` is the copy count of the new step; None means the certified
+    :func:`~satgraph.builder.minimal_certified_m`.  The build seed depends
+    only on (tower seed, current depth), so growing a tower in stages and
+    growing it in one go produce identical levels.
     """
     top = t.levels[-1]
-    params = BuildParams(
-        n=t.n,
-        base=top,
-        seed=level_build_seed(t.seed, t.depth),
-        mode=mode,
-        m=m_override,
-        max_attempts=max_attempts,
-    )
-    graph, _, _ = build_extension(params)
+    graph, _ = build_extension(t.n, top, level_build_seed(t.seed, t.depth), m, max_attempts)
     m = graph.vertex_count // top.vertex_count - 1
     return Tower(t.n, t.seed, t.levels + (graph,), t.per_level_m + (m,))
 
@@ -168,7 +157,7 @@ def rebuild_tower(
     """Deterministically replay a tower from its seed and recorded copy counts."""
     t = new_tower(n, seed)
     for m in per_level_m:
-        t = extend_tower(t, mode="empirical", m_override=int(m), max_attempts=max_attempts)
+        t = extend_tower(t, int(m), max_attempts)
     return t
 
 
@@ -405,7 +394,7 @@ def realize_type(
     Bond-consistent distinct prefixes always separate within their
     materialized depth, so ``auto_extend`` only matters when realization
     needs a level the tower does not have yet (a depth-0 tower and a type
-    with zeros); it then grows the tower in certified mode, and the
+    with zeros); it then grows the tower with the certified m, and the
     returned handle matches ``extend_tower(t)``.
     """
     cons: list[tuple[ThreadPrefix, int]] = []

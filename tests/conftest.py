@@ -4,7 +4,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from satgraph.graphs import FiniteGraph
+from satgraph.morphisms import GraphMap
 from satgraph.towers import Tower, extend_tower, new_tower
+
+
+def division_map(g: FiniteGraph, base: FiniteGraph, m: int) -> GraphMap:
+    """The fiber projection ``v -> v // (m+1)`` of a product graph onto its base."""
+    return GraphMap(g, base, np.arange(g.vertex_count) // (m + 1))
 
 
 @pytest.fixture(scope="session")

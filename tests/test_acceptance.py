@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from satgraph.builder import (
-    BuildParams,
     build_extension,
     check_product_lifting,
     lifting_failure_bound,
@@ -36,6 +35,8 @@ from satgraph.towers import (
     realize_type,
     verify_tower,
 )
+
+from conftest import division_map
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -120,7 +121,7 @@ def test_acceptance_4_certified_build_n3_depth2(tower_n3_depth2):
 def test_acceptance_5_certified_build_n4_single_extension():
     start = time.perf_counter()
     base = FiniteGraph.complete(4)
-    g, _, attempts = build_extension(BuildParams(4, base, seed=7, max_attempts=100))
+    g, attempts = build_extension(4, base, seed=7, max_attempts=100)
     t = Tower(4, 7, (base, g), (g.vertex_count // 4 - 1,))
     rep = verify_tower(t)
     elapsed = time.perf_counter() - start
@@ -224,7 +225,7 @@ def test_acceptance_9_sampling_invariants():
     for seed in range(100):
         base = bases[seed % len(bases)]
         m = 1 + seed % 3
-        g, projection = sample_product_graph(base, m, seed=seed)
+        g = sample_product_graph(base, m, seed=seed)
         copies = m + 1
         k = base.vertex_count
         ok = True
@@ -246,7 +247,7 @@ def test_acceptance_9_sampling_invariants():
             for w in range(u + 1, g.vertex_count):
                 if g.adjacent(u, w) != g.adjacent(w, u):
                     ok = False
-        if not is_quotient_map(projection):
+        if not is_quotient_map(division_map(g, base, m)):
             ok = False
         violations += not ok
         seeds += 1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from satgraph.builder import (
     AttemptsExhausted,
-    BuildParams,
     ProductVertex,
     attempt_seed,
     build_extension,
@@ -22,6 +21,8 @@ from satgraph.builder import (
 )
 from satgraph.graphs import FiniteGraph, is_n_saturated, random_graph
 from satgraph.morphisms import is_quotient_map
+
+from conftest import division_map
 
 K1 = FiniteGraph.complete(1)
 K2 = FiniteGraph.complete(2)
@@ -130,7 +131,7 @@ def test_sample_conditions_various_bases_and_seeds():
     bases = [K2, FiniteGraph.cycle(5), FiniteGraph.from_edges(2, []), random_graph(4, seed=3)]
     for seed in range(12):
         base = bases[seed % len(bases)]
-        g, p = sample_product_graph(base, 1 + seed % 3, seed=seed)
+        g = sample_product_graph(base, 1 + seed % 3, seed=seed)
         assert_sample_well_formed(g, base, 1 + seed % 3)
 
 
@@ -145,31 +146,32 @@ def small_bases(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_bases(), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**32))
 def test_sample_structural_conditions_property(base, m, seed):
-    g, projection = sample_product_graph(base, m, seed=seed)
+    g = sample_product_graph(base, m, seed=seed)
     assert_sample_well_formed(g, base, m)
-    assert is_quotient_map(projection)
+    assert is_quotient_map(division_map(g, base, m))
 
 
 def test_sample_projection_is_quotient_map_over_seeds():
     for seed in range(20):
-        g, p = sample_product_graph(K2, 3, seed=seed)
+        g = sample_product_graph(K2, 3, seed=seed)
+        p = division_map(g, K2, 3)
         assert is_quotient_map(p)
         assert list(p.image) == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
 def test_sample_forced_edge_present():
-    g, _ = sample_product_graph(K2, 1, seed=0)
+    g = sample_product_graph(K2, 1, seed=0)
     assert g.adjacent(0, 2)  # (0,0)-(1,0) mirrors the base edge
 
 
 def test_sample_reproducible_and_substreams_differ():
-    a1, _ = sample_product_graph(K2, 6, seed=42)
-    a2, _ = sample_product_graph(K2, 6, seed=42)
+    a1 = sample_product_graph(K2, 6, seed=42)
+    a2 = sample_product_graph(K2, 6, seed=42)
     assert a1 == a2
-    b, _ = sample_product_graph(K2, 6, seed=43)
+    b = sample_product_graph(K2, 6, seed=43)
     assert a1 != b
-    s0, _ = sample_product_graph(K2, 6, attempt_seed(42, 0))
-    s1, _ = sample_product_graph(K2, 6, attempt_seed(42, 1))
+    s0 = sample_product_graph(K2, 6, attempt_seed(42, 0))
+    s1 = sample_product_graph(K2, 6, attempt_seed(42, 1))
     assert s0 != s1
 
 
@@ -182,13 +184,13 @@ def test_sample_rejects_m_zero():
 
 
 def test_lifting_check_vacuous_for_n1():
-    g, _ = sample_product_graph(K2, 2, seed=7)
+    g = sample_product_graph(K2, 2, seed=7)
     assert check_product_lifting(g, K2, 2, 1).holds
 
 
 def test_lifting_check_single_vertex_base():
     for seed in range(5):
-        g, _ = sample_product_graph(K1, 1, seed=seed)
+        g = sample_product_graph(K1, 1, seed=seed)
         assert check_product_lifting(g, K1, 1, 2).holds
 
 
@@ -202,7 +204,7 @@ def test_lifting_check_all_coins_absent_fails_at_far_copy():
 
 
 def test_lifting_check_size_mismatch():
-    g, _ = sample_product_graph(K2, 2, seed=1)
+    g = sample_product_graph(K2, 2, seed=1)
     with pytest.raises(ValueError):
         check_product_lifting(g, K2, 3, 2)
 
@@ -219,7 +221,7 @@ def test_lifting_counterexample_rechecks():
 def test_lifting_distinct_bases_is_weaker():
     for seed in range(10):
         base = random_graph(3, seed=seed)
-        g, _ = sample_product_graph(base, 2, seed=seed + 50)
+        g = sample_product_graph(base, 2, seed=seed + 50)
         full = check_product_lifting(g, base, 2, 3)
         distinct = check_product_lifting(g, base, 2, 3, distinct_bases=True)
         if full.holds:
@@ -230,30 +232,30 @@ def test_lifting_distinct_bases_is_weaker():
 
 
 def test_build_n1_first_attempt():
-    g, p, attempts = build_extension(BuildParams(1, K1, seed=0, mode="empirical", m=1))
+    g, attempts = build_extension(1, K1, seed=0, m=1)
     assert attempts == 1
     assert g.vertex_count == 2
     assert is_n_saturated(g, 1).holds
 
 
 def test_build_certified_n2():
-    g, p, attempts = build_extension(BuildParams(2, K2, seed=42, max_attempts=1000))
+    g, attempts = build_extension(2, K2, seed=42, max_attempts=1000)
     assert g.vertex_count == 2 * 7  # certified m = 6
     assert is_n_saturated(g, 2).holds
     assert check_product_lifting(g, K2, 6, 2).holds
-    assert is_quotient_map(p)
+    assert is_quotient_map(division_map(g, K2, 6))
 
 
 def test_build_is_deterministic():
-    r1 = build_extension(BuildParams(2, K2, seed=7))
-    r2 = build_extension(BuildParams(2, K2, seed=7))
+    r1 = build_extension(2, K2, seed=7)
+    r2 = build_extension(2, K2, seed=7)
     assert r1[0] == r2[0]
-    assert r1[2] == r2[2]
+    assert r1[1] == r2[1]
 
 
 def test_build_empirical_small_m_verified_if_it_returns():
     try:
-        g, p, _ = build_extension(BuildParams(2, K2, seed=3, mode="empirical", m=2, max_attempts=50))
+        g, _ = build_extension(2, K2, seed=3, m=2, max_attempts=50)
     except AttemptsExhausted:
         return
     assert is_n_saturated(g, 2).holds
@@ -263,12 +265,12 @@ def test_build_empirical_small_m_verified_if_it_returns():
 def test_build_requires_weakly_saturated_base():
     lonely = FiniteGraph.from_edges(2, [])
     with pytest.raises(ValueError):
-        build_extension(BuildParams(2, lonely, seed=0, mode="empirical", m=2))
+        build_extension(2, lonely, seed=0, m=2)
 
 
 def test_build_exhaustion_raises():
     with pytest.raises(AttemptsExhausted) as exc:
-        build_extension(BuildParams(3, FiniteGraph.complete(3), seed=0, mode="empirical", m=1, max_attempts=3))
+        build_extension(3, FiniteGraph.complete(3), seed=0, m=1, max_attempts=3)
     assert exc.value.attempts == 3
 
 
@@ -279,8 +281,8 @@ def test_sample_multiword_graphs_fully_wellformed():
     from satgraph.graphs import FiniteGraph as FG
 
     for base, m in [(FiniteGraph.cycle(5), 30), (K2, 64), (FiniteGraph.complete(3), 40)]:
-        g, p = sample_product_graph(base, m, seed=123)
+        g = sample_product_graph(base, m, seed=123)
         assert g.vertex_count == base.vertex_count * (m + 1)
         revalidated = FG(g.vertex_count, g.packed_rows.copy(), validate=True)
         assert revalidated == g
-        assert is_quotient_map(p)
+        assert is_quotient_map(division_map(g, base, m))

@@ -105,7 +105,7 @@ def test_build_exhaustion_exit_code(tmp_path, capsys):
     code, _, err = run(
         [
             "build", "--n", "3", "--depth", "1", "--seed", "0",
-            "--mode", "empirical", "--m", "1", "--max-attempts", "2",
+            "--m", "1", "--max-attempts", "2",
             "--out", str(tmp_path / "x.json"),
         ],
         capsys,
@@ -113,14 +113,22 @@ def test_build_exhaustion_exit_code(tmp_path, capsys):
     assert code == EXIT_EXHAUSTED
 
 
+def test_build_uses_given_m(tmp_path, capsys):
+    one = tmp_path / "m3.json"
+    two = tmp_path / "m3m12.json"
+    # the certified m would be 6 for the first step and 10 for the second
+    assert main(["build", "--n", "2", "--depth", "1", "--m", "3", "--out", str(one)]) == EXIT_OK
+    assert load_tower(str(one)).per_level_m == (3,)
+    assert run(["verify", "--in", str(one)], capsys)[0] == EXIT_OK
+    assert main(["extend", "--in", str(one), "--out", str(two), "--depth", "2", "--m", "12"]) == EXIT_OK
+    assert load_tower(str(two)).per_level_m == (3, 12)
+
+
 def test_usage_errors(capsys):
     assert run(["build", "--n", "2", "--out", "x"], capsys)[0] == EXIT_USAGE  # missing --depth
     assert run(["nonsense"], capsys)[0] == EXIT_USAGE
     assert run(["build", "--n", "0", "--depth", "1", "--out", "x"], capsys)[0] == EXIT_USAGE
-    assert (
-        run(["build", "--n", "2", "--depth", "1", "--mode", "empirical", "--out", "x"], capsys)[0]
-        == EXIT_USAGE
-    )
+    assert run(["build", "--n", "2", "--depth", "1", "--m", "0", "--out", "x"], capsys)[0] == EXIT_USAGE
 
 
 def test_realize_empty_type_prints_canonical_root(tower_file, tmp_path, capsys):

@@ -15,6 +15,8 @@ from satgraph.morphisms import (
     is_surjective,
 )
 
+from conftest import division_map
+
 
 def edgeless(n):
     return FiniteGraph.from_edges(n, [])
@@ -78,8 +80,9 @@ def test_compose_requires_matching_middle():
 
 def test_compose_of_sampled_projections_is_quotient():
     base = FiniteGraph.complete(2)
-    g1, p0 = sample_product_graph(base, 3, seed=5)
-    g2, p1 = sample_product_graph(g1, 2, seed=6)
+    g1 = sample_product_graph(base, 3, seed=5)
+    g2 = sample_product_graph(g1, 2, seed=6)
+    p0, p1 = division_map(g1, base, 3), division_map(g2, g1, 2)
     assert is_quotient_map(p0) and is_quotient_map(p1)
     assert is_quotient_map(compose(p0, p1))
 
@@ -96,7 +99,8 @@ def test_quotient_implies_homomorphism_on_random_maps():
 
 def test_nonadjacent_images_pull_back_to_nonadjacent():
     base = FiniteGraph.cycle(5)
-    g, p = sample_product_graph(base, 3, seed=9)
+    g = sample_product_graph(base, 3, seed=9)
+    p = division_map(g, base, 3)
     assert is_quotient_map(p)
     v = g.vertex_count
     for u in range(v):
@@ -138,7 +142,8 @@ def test_lifting_matches_product_check_on_small_instances():
     for seed in range(25):
         base = random_graph(3, seed=seed)
         m = 2 + seed % 3
-        g, p = sample_product_graph(base, m, seed=seed * 17 + 1)
+        g = sample_product_graph(base, m, seed=seed * 17 + 1)
+        p = division_map(g, base, m)
         for n in (2, 3):
             general = check_lifting_property(p, n)
             structured = check_product_lifting(g, base, m, n, distinct_bases=True)

@@ -17,6 +17,7 @@ from satgraph.serialize import (
     save_tower,
 )
 from satgraph.towers import extend_tower, new_tower, verify_tower
+from satgraph import serialize
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,17 @@ def test_tower_decode_rejects_malformed(tower, relabel_top_level):
         assert wrong["bonds"][0] == obj["bonds"][0]
         with pytest.raises(FormatError):
             decode_tower(dumps(wrong))
+
+
+def test_tower_decode_checks_bonds_before_edges(tower, relabel_top_level, monkeypatch):
+    relabelled = relabel_top_level(json.loads(encode_tower(tower)))
+
+    def no_edge_decoding(obj):
+        raise AssertionError("edge lists decoded before the bonds were checked")
+
+    monkeypatch.setattr(serialize, "graph_from_obj", no_edge_decoding)
+    with pytest.raises(FormatError, match="bond"):
+        serialize.tower_from_obj(relabelled)
 
 
 def test_missing_file_is_format_error(tmp_path):

@@ -34,11 +34,11 @@ def t2():
 
 @pytest.fixture(scope="module")
 def t2_small():
-    # quick tower for thread tests: empirical level 1 (10 vertices), then a
+    # quick tower for thread tests: uncertified level 1 (10 vertices), then a
     # certified level over it (the lifting guarantee makes small uncertified
     # m hopeless over bases beyond a couple of vertices)
     t = new_tower(2, seed=5)
-    t = extend_tower(t, mode="empirical", m_override=4, max_attempts=200)
+    t = extend_tower(t, m=4, max_attempts=200)
     t = extend_tower(t, max_attempts=200)
     return t
 
