@@ -211,11 +211,48 @@ def _symmetrize_in_place(packed: np.ndarray, v: int) -> None:
 
 # -- fiber lifting verification -------------------------------------------------
 
+# Largest count block (in float32 entries, 512 KiB) one block product of the
+# n >= 4 triple check may materialize.
+_PRODUCT_BLOCK = 1 << 17
+
 
 def _restricted_fiber_block(g: FiniteGraph, i: int, copies: int, tcols: np.ndarray) -> np.ndarray:
     """Rows (i,0..m) of g restricted to the target columns, as a 0/1 byte matrix."""
     block = _bits.unpack_rows(g.packed_rows[i * copies : (i + 1) * copies], g.vertex_count)
     return block[:, tcols]
+
+
+def _first_missing_triple(
+    fiber_block: np.ndarray, t_bases: np.ndarray, distinct_bases: bool
+) -> Optional[tuple[int, int, int]]:
+    """Smallest target triple a < b < c with no copy adjacent to all three, or None.
+
+    ``fiber_block`` is the copy x target 0/1 matrix F of one base vertex.
+    For each a, the product (F[:, a+1:] * F[:, a]).T @ F[:, a+1:] counts
+    the common copies of (a, b, c) for every b and c above a; counts are at
+    most the number of copies, exact in float32.  With ``distinct_bases``
+    a triple with two targets over one base vertex is exempt.  The b rows
+    go in chunks, keeping each product block at most ``_PRODUCT_BLOCK``
+    entries.
+    """
+    fiber = fiber_block.astype(np.float32)
+    count = fiber.shape[1]
+    step = max(1, _PRODUCT_BLOCK // count)
+    for a in range(count - 2):
+        col_a = fiber[:, a : a + 1]
+        for b0 in range(a + 1, count - 1, step):
+            b1 = min(count - 1, b0 + step)
+            missing = (fiber[:, b0:b1] * col_a).T @ fiber[:, b0 + 1 :] == 0
+            missing &= np.arange(b0 + 1, count)[None, :] > np.arange(b0, b1)[:, None]
+            if distinct_bases:
+                b_bases, c_bases = t_bases[b0:b1], t_bases[b0 + 1 :]
+                missing &= (b_bases != t_bases[a])[:, None] & (c_bases != t_bases[a])[None, :]
+                missing &= b_bases[:, None] != c_bases[None, :]
+            bad = missing.any(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                return a, b0 + i, b0 + 1 + int(np.argmax(missing[i]))
+    return None
 
 
 def check_product_lifting(
@@ -231,10 +268,11 @@ def check_product_lifting(
     lying over base neighbours of i (repeats allowed; pass
     ``distinct_bases=True`` to restrict to configurations over pairwise
     distinct base vertices), some copy (i, l) must be adjacent to all of
-    them.  Copy masks per target make each configuration an AND-reduction.
-    The scan runs base vertices in ascending order, checking singletons,
-    then pairs, then larger tuples lexicographically, so failures are
-    reported deterministically.
+    them.  Copy masks per target make each configuration an AND-reduction;
+    triples are counted in blocks by :func:`_first_missing_triple`.  The
+    scan runs base vertices in ascending order, checking singletons, then
+    pairs, then larger tuples lexicographically, so failures are reported
+    deterministically.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -292,21 +330,9 @@ def check_product_lifting(
             b = _bits.lowest_set_bit(missing[a])
             return LiftingReport(False, (i, (int(tcols[a]), int(tcols[b]))))
         if n >= 4:
-            for a in range(count - 2):
-                for b in range(a + 1, count - 1):
-                    if distinct_bases and t_bases[a] == t_bases[b]:
-                        continue
-                    pair = masks[a] & masks[b]
-                    third = pair & masks[b + 1 :]
-                    ok = third.any(axis=1)
-                    if distinct_bases:
-                        tail = t_bases[b + 1 :]
-                        ok |= (tail == t_bases[a]) | (tail == t_bases[b])
-                    if not ok.all():
-                        c = b + 1 + int(np.argmin(ok))
-                        return LiftingReport(
-                            False, (i, (int(tcols[a]), int(tcols[b]), int(tcols[c])))
-                        )
+            triple = _first_missing_triple(fiber_block, t_bases, distinct_bases)
+            if triple is not None:
+                return LiftingReport(False, (i, tuple(int(tcols[t]) for t in triple)))
         if n >= 5:
             mask_ints = [_bits.row_to_int(masks[t]) for t in range(count)]
             for size in range(4, n):

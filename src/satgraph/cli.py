@@ -239,9 +239,8 @@ def _cmd_stats(args) -> int:
             ss = np.random.SeedSequence(entropy=args.seed, spawn_key=(m, trial))
             g = sample_product_graph(base, m, ss)
             sat = is_n_saturated(g, args.n).holds
-            lift = check_product_lifting(g, base, m, args.n).holds
             saturated += sat
-            joint += sat and lift
+            joint += sat and check_product_lifting(g, base, m, args.n).holds
         sat_bound = saturation_failure_bound(args.n, args.k, m)
         lift_bound = lifting_failure_bound(args.n, args.k, m)
         print(

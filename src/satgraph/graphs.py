@@ -51,8 +51,11 @@ class FiniteGraph:
         """Build from a list of cross edges; loops are implied."""
         w = _bits.word_count(vertex_count)
         packed = np.zeros((vertex_count, w), dtype=np.uint64)
-        edge_arr = np.asarray(list(edges), dtype=np.int64)
-        if edge_arr.size:
+        edges = edges if isinstance(edges, list) else list(edges)
+        # in chunks: converting nested lists, np.asarray keeps bookkeeping
+        # for every pair that outweighs the int64 result about twice over
+        for e0 in range(0, len(edges), 1 << 14):
+            edge_arr = np.asarray(edges[e0 : e0 + (1 << 14)], dtype=np.int64)
             if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
                 raise ValueError("edges must be pairs")
             a, b = edge_arr[:, 0], edge_arr[:, 1]
@@ -293,6 +296,11 @@ def find_realizer(g: FiniteGraph, f: TypeLike) -> Optional[int]:
 
 # -- exhaustive saturation checks -------------------------------------------
 
+# Largest blocks the n >= 4 scan materializes, in float32 entries: one block
+# of counts (512 KiB), and one tile of X rows with their unpacked bits (4 MiB).
+_PRODUCT_BLOCK = 1 << 17
+_ROWS_BLOCK = 1 << 20
+
 
 def _missing_type_small(g: FiniteGraph, n: int, ones_only: bool):
     # vertex_count < n-1: every subset size below n is in play, including all
@@ -329,10 +337,9 @@ def _missing_type_singletons(g: FiniteGraph, ones_only: bool):
     return (a,), TypeSpec(((a, sign),))
 
 
-def _missing_type_scan(g: FiniteGraph, n: int, ones_only: bool):
-    # Subsets of size n-1 enumerated as a lexicographic prefix of size n-2
-    # plus a largest element c; the c coordinate is one vectorized pass per
-    # prefix assignment.  Smallest failing (A, f) is returned.
+def _missing_type_pairs(g: FiniteGraph, ones_only: bool):
+    # n == 3: subsets {a, c} with a < c; for each bit of a, the c coordinate
+    # is one vectorized pass.  Smallest failing (A, f) is returned.
     #
     # A candidate-set intersection is almost never empty on graphs this
     # machinery targets, so each pass first screens only the leading words
@@ -340,39 +347,118 @@ def _missing_type_scan(g: FiniteGraph, n: int, ones_only: bool):
     # empty; this cuts memory traffic by the screen-to-width ratio without
     # affecting the verdict.
     v = g.vertex_count
+    rpos = g.packed_rows_noloop()
+    plans = ((1, rpos),) if ones_only else ((0, g.packed_complement()), (1, rpos))
+    screen = min(4, rpos.shape[1])
+    for a in range(v - 1):
+        best = None
+        for bit, cands in plans:
+            cand = cands[a]
+            for sign, mat in plans:
+                maybe = ~(mat[a + 1 :, :screen] & cand[:screen]).any(axis=1)
+                if maybe.any():
+                    suspects = a + 1 + np.nonzero(maybe)[0]
+                    ok = (mat[suspects] & cand).any(axis=1)
+                    if not ok.all():
+                        key = (int(suspects[int(np.argmin(ok))]), bit, sign)
+                        if best is None or key < best:
+                            best = key
+        if best is not None:
+            c, bit, sign = best
+            return (a, c), TypeSpec(((a, bit), (c, sign)))
+    return None
+
+
+def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
+    # n >= 4: subsets of size n-1 are a lexicographic prefix P of size n-3
+    # plus a pair b < c above it; the whole (b, c) plane of one assignment
+    # of P is decided at once by :func:`_first_missing_pair`.  The scan
+    # order is (P, b, c, bits, sign), and the smallest failing (A, f) is
+    # returned.
+    v = g.vertex_count
     rows = g.packed_rows
     comp = g.packed_complement()
-    rpos = g.packed_rows_noloop()
     full = _bits.full_row(v)
-    screen = min(4, rows.shape[1])
-    for prefix in itertools.combinations(range(v), n - 2):
-        lo = prefix[-1] + 1 if prefix else 0
-        if lo >= v:
+    for prefix in itertools.combinations(range(v), n - 3):
+        lo = prefix[-1] + 1
+        if lo > v - 2:
             continue
         best = None
-        assignments = [(1,) * (n - 2)] if ones_only else itertools.product((0, 1), repeat=n - 2)
+        assignments = [(1,) * (n - 3)] if ones_only else itertools.product((0, 1), repeat=n - 3)
         for bits in assignments:
             cand = full.copy()
             for a, b in zip(prefix, bits):
                 cand &= rows[a] if b else comp[a]
             for a in prefix:
                 _bits.clear_bit_in_row(cand, a)
-            plans = ((1, rpos),) if ones_only else ((0, comp), (1, rpos))
-            for sign, mat in plans:
-                maybe = ~(mat[lo:, :screen] & cand[:screen]).any(axis=1)
-                if maybe.any():
-                    suspects = lo + np.nonzero(maybe)[0]
-                    ok = (mat[suspects] & cand).any(axis=1)
-                    if not ok.all():
-                        c = int(suspects[int(np.argmin(ok))])
-                        key = (c, bits, sign)
-                        if best is None or key < best:
-                            best = key
+            found = _first_missing_pair(g, lo, cand, ones_only)
+            if found is not None:
+                b, c, bit, sign = found
+                key = (b, c, bits + (bit,), sign)
+                if best is None or key < best:
+                    best = key
         if best is not None:
-            c, bits, sign = best
-            subset = prefix + (c,)
+            b, c, bits, sign = best
+            subset = prefix + (b, c)
             return subset, TypeSpec(tuple(zip(subset, bits + (sign,))))
     return None
+
+
+def _first_missing_pair(g: FiniteGraph, lo: int, cand: np.ndarray, ones_only: bool):
+    """Smallest (b, c, bit, sign) with lo <= b < c whose type has no realizer in cand.
+
+    X stacks, for every vertex u >= lo, its non-adjacency row and its
+    adjacency row with the loop cleared, both restricted to the columns in
+    ``cand`` (see :func:`_type_rows`); entry ((b, bit), (c, sign)) of
+    X @ X.T then counts the realizers in ``cand``, other than b and c, of
+    the type {b: bit, c: sign}.  The counts are sums of at most V products
+    of 0/1 values, so float32 holds them exactly.  X is built in tiles of
+    c rows, at most ``_ROWS_BLOCK`` entries with their unpacked bits, and
+    each tile is multiplied by chunks of no more b rows, at most
+    ``_PRODUCT_BLOCK`` counts at a time; a later tile is only searched
+    below the smallest failing b found so far.
+    """
+    v = g.vertex_count
+    cols = np.nonzero(_bits.unpack_rows(cand, v))[0]
+    signs = (1,) if ones_only else (0, 1)
+    ns = len(signs)
+    tile = max(2, _ROWS_BLOCK // (ns * len(cols) + v))
+    best = None
+    for c0 in range(lo, v, tile):
+        c1 = min(v, c0 + tile)
+        xc = _type_rows(g, c0, c1, cols, ones_only)
+        b_end = c1 - 1 if best is None else min(c1 - 1, best[0])
+        step = max(1, min(tile, _PRODUCT_BLOCK // (ns * ns * (c1 - c0))))
+        for b0 in range(lo, b_end, step):
+            b1 = min(b_end, b0 + step)
+            xb = xc[:, b0 - c0 : b1 - c0] if b0 >= c0 else _type_rows(g, b0, b1, cols, ones_only)
+            cs = max(c0, b0 + 1)  # no c at or below the chunk's first b
+            counts = xb.reshape(ns * (b1 - b0), -1) @ xc[:, cs - c0 :].transpose(0, 2, 1)
+            missing = (counts == 0).reshape(ns, ns, b1 - b0, c1 - cs)  # [sign, bit, b, c]
+            missing &= np.arange(cs, c1)[None, :] > np.arange(b0, b1)[:, None]
+            bad = missing.any(axis=(0, 1, 3))
+            if bad.any():
+                i = int(np.argmax(bad))
+                first = int(np.argmax(missing[:, :, i].transpose(2, 1, 0)))
+                j, bit, sign = np.unravel_index(first, (c1 - cs, ns, ns))
+                best = (b0 + i, cs + int(j), signs[bit], signs[sign])
+                break
+    return best
+
+
+def _type_rows(g: FiniteGraph, r0: int, r1: int, cols: np.ndarray, ones_only: bool) -> np.ndarray:
+    """Realizer indicators of rows r0..r1-1 over ``cols``, float32 [bit, row, col].
+
+    Bit 1 is the adjacency row with the loop cleared, bit 0 (left out when
+    ``ones_only``) the non-adjacency row, so neither counts the row itself.
+    """
+    x = np.empty((1 if ones_only else 2, r1 - r0, len(cols)), dtype=np.float32)
+    x[-1] = _bits.unpack_rows(g.packed_rows[r0:r1], g.vertex_count)[:, cols]
+    if not ones_only:
+        np.subtract(1, x[-1], out=x[0])
+    own = np.nonzero((cols >= r0) & (cols < r1))[0]
+    x[-1, cols[own] - r0, own] = 0
+    return x
 
 
 def _missing_type(g: FiniteGraph, n: int, ones_only: bool):
@@ -380,7 +466,9 @@ def _missing_type(g: FiniteGraph, n: int, ones_only: bool):
         return _missing_type_small(g, n, ones_only)
     if n == 2:
         return _missing_type_singletons(g, ones_only)
-    return _missing_type_scan(g, n, ones_only)
+    if n == 3:
+        return _missing_type_pairs(g, ones_only)
+    return _missing_type_planes(g, n, ones_only)
 
 
 def is_n_saturated(g: FiniteGraph, n: int) -> SaturationReport:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satgraph import builder
 from satgraph.builder import (
     AttemptsExhausted,
     ProductVertex,
@@ -23,6 +24,7 @@ from satgraph.graphs import FiniteGraph, is_n_saturated, random_graph
 from satgraph.morphisms import is_quotient_map
 
 from conftest import division_map
+from reference_loops import product_lifting_loops
 
 K1 = FiniteGraph.complete(1)
 K2 = FiniteGraph.complete(2)
@@ -226,6 +228,38 @@ def test_lifting_distinct_bases_is_weaker():
         distinct = check_product_lifting(g, base, 2, 3, distinct_bases=True)
         if full.holds:
             assert distinct.holds
+
+
+@pytest.mark.parametrize("seed, witness", [(0, (0, 1, 2)), (1, (0, 1, 3)), (6, (0, 1, 3)), (47, (1, 3, 4))])
+def test_lifting_triple_witness_over_k1(seed, witness):
+    g = sample_product_graph(K1, 4, seed=seed)
+    assert check_product_lifting(g, K1, 4, 3).holds
+    rep = check_product_lifting(g, K1, 4, 4)
+    assert rep.counterexample == (0, witness) == product_lifting_loops(g, K1, 4, 4)
+    assert not any(all(g.adjacent(copy, t) for t in witness) for copy in range(5))
+    # every target lies over the one base vertex, so nothing is left to check
+    assert check_product_lifting(g, K1, 4, 4, distinct_bases=True).holds
+
+
+# block=8 shrinks the product budget to one b row per chunk, and block=64 to
+# a few rows, so the chunked path is compared too
+@pytest.mark.parametrize("block", [None, 8, 64])
+def test_lifting_block_triples_match_reference_loop(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(builder, "_PRODUCT_BLOCK", block)
+    outcomes = {}
+    for k, top_m in ((1, 11), (2, 24), (3, 30)):
+        for m in range(3, top_m + 1):
+            for seed in range(8):
+                base = FiniteGraph.complete(k) if seed % 2 else random_graph(k, seed=seed)
+                g = sample_product_graph(base, m, seed=seed)
+                for distinct in (False, True):
+                    rep = check_product_lifting(g, base, m, 4, distinct_bases=distinct)
+                    assert rep.counterexample == product_lifting_loops(g, base, m, 4, distinct)
+                    size = len(rep.counterexample[1]) if rep.counterexample else 0
+                    outcomes[distinct, size] = outcomes.get((distinct, size), 0) + 1
+    for distinct in (False, True):
+        assert outcomes.get((distinct, 3), 0) >= 5 and outcomes.get((distinct, 0), 0) >= 5
 
 
 # -- rejection sampling ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from satgraph.cli import (
 from satgraph.serialize import encode_tower, load_tower
 from satgraph.towers import Tower, extend_tower, new_tower
 from satgraph.graphs import FiniteGraph
-from satgraph import serialize
+from satgraph import cli, serialize
 
 
 def run(args, capsys):
@@ -211,6 +211,61 @@ def test_stats_deterministic(capsys):
     code2, out2, _ = run(args, capsys)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+# Outputs of the parent implementation, per-pair scan and triple loop included.
+STATS_PINNED = [
+    (
+        "--n 2 --k 2 --m-from 4 --m-to 6 --trials 20 --seed 3",
+        """m,trials,saturated_rate,joint_rate,saturation_bound,saturation_bound_float,lifting_bound,lifting_bound_float
+4,20,1.000000,0.800000,5/4,1.25,5/4,1.25
+5,20,0.950000,0.800000,3/4,0.75,3/4,0.75
+6,20,1.000000,0.950000,7/16,0.4375,7/16,0.4375
+""",
+    ),
+    (
+        "--n 3 --k 3 --m-from 24 --m-to 27 --trials 8 --seed 2",
+        """m,trials,saturated_rate,joint_rate,saturation_bound,saturation_bound_float,lifting_bound,lifting_bound_float
+24,8,1.000000,0.000000,783741963734775/70368744177664,11.1376,4766002202990475/281474976710656,16.9322
+25,8,1.000000,0.125000,2544407694157329/281474976710656,9.03955,3866179887822681/281474976710656,13.7354
+26,8,1.000000,0.125000,1029455660473245/140737488355328,7.31472,50031561406453659/4503599627370496,11.1092
+27,8,1.000000,0.250000,13291416416332341/2251799813685248,5.90257,10088667586567017/1125899906842624,8.96054
+""",
+    ),
+    (
+        "--n 4 --k 4 --m-from 40 --m-to 41 --trials 2 --seed 1",
+        """m,trials,saturated_rate,joint_rate,saturation_bound,saturation_bound_float,lifting_bound,lifting_bound_float
+40,2,1.000000,0.000000,1148832798304185918775170297956717964441/41538374868278621028243970633760768,27657.1,438812237537194164756940222992739213561/5192296858534827628530496329220096,84512.2
+41,2,1.000000,0.000000,4324264437946041808607739590774410015189/166153499473114484112975882535043072,26025.7,412745338361269866511841197669572867195/5192296858534827628530496329220096,79491.9
+""",
+    ),
+    (
+        "--n 3 --k 3 --m-from 6 --m-to 8 --trials 10 --seed 2",
+        """m,trials,saturated_rate,joint_rate,saturation_bound,saturation_bound_float,lifting_bound,lifting_bound_float
+6,10,0.200000,0.000000,76545/512,149.502,968499/4096,236.45
+7,10,0.000000,0.000000,150903/1024,147.366,59193/256,231.223
+8,10,0.200000,0.000000,2302911/16384,140.559,14369643/65536,219.263
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", STATS_PINNED, ids=["n2", "n3", "n4", "n3-small-m"])
+def test_stats_csv_pinned(args, expected, capsys, monkeypatch):
+    calls = []
+    real = cli.check_product_lifting
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(cli, "check_product_lifting", counted)
+    code, out, _ = run(["stats"] + args.split(), capsys)
+    assert code == EXIT_OK
+    assert out == expected
+    # the lifting check runs only on saturated samples
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(calls) == sum(round(float(r[2]) * int(r[1])) for r in rows)
 
 
 def test_stats_n1_always_succeeds(capsys):

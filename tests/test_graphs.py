@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satgraph import graphs
 from satgraph.graphs import (
     FiniteGraph,
     TypeSpec,
@@ -15,6 +16,8 @@ from satgraph.graphs import (
     random_graph,
     realizes,
 )
+
+from reference_loops import scan_missing_type
 
 
 def path3():
@@ -72,6 +75,18 @@ def test_from_edges_rejects_bad_input():
         FiniteGraph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         FiniteGraph.from_edges(2, [(1, 1)])
+
+
+def test_from_edges_in_chunks_matches_dense():
+    g = random_graph(300, seed=1)
+    edges = g.edges()
+    assert len(edges) > 1 << 14  # more than one conversion chunk
+    assert FiniteGraph.from_edges(300, edges) == g
+    assert FiniteGraph.from_edges(300, iter(edges)) == g
+    with pytest.raises(ValueError):
+        FiniteGraph.from_edges(300, edges + [(0, 1, 2)])
+    with pytest.raises(ValueError):
+        FiniteGraph.from_edges(300, edges + [(0, 300)])
 
 
 def test_edges_canonical_order():
@@ -285,3 +300,163 @@ def test_weak_scan_on_multiword_graph():
     rep = is_weakly_n_saturated(one_hub, 3)
     assert not rep.holds
     assert rep.counterexample[0] == (0, 270)
+
+
+# -- block scan against the per-pair loop (n >= 4) --------------------------------
+
+
+def dense_adjacency(g: FiniteGraph) -> np.ndarray:
+    """Writable V x V 0/1 uint8 adjacency matrix, loops included."""
+    v = g.vertex_count
+    return np.unpackbits(g.packed_rows.view(np.uint8), axis=-1, bitorder="little")[:, :v].copy()
+
+
+def scan_cases():
+    """(graph, n) pairs whose first missing type sits early, deep, or nowhere."""
+    rng = np.random.default_rng(4)
+    for seed in range(40):
+        v = int(rng.integers(8, 48))
+        g = random_graph(v, seed=seed, edge_prob=float(rng.uniform(0.3, 0.9)))
+        yield g, 4
+        if v <= 12:
+            yield g, 5
+    for seed in range(40, 52):
+        v = int(rng.integers(60, 160))
+        yield random_graph(v, seed=seed, edge_prob=float(rng.uniform(0.4, 0.6))), 4
+    for seed in range(52, 64):
+        yield random_graph(12, seed=seed, edge_prob=float(rng.uniform(0.7, 0.95))), 5
+
+
+# Shrunk budgets split the (b, c) plane into several tiles of c rows and
+# several chunks of b rows per tile (one row each at (8, 8)), so the tiled
+# path is compared too.
+BLOCKS = pytest.mark.parametrize(
+    "blocks", [None, (8, 8), (120, 2000)], ids=["default", "one-row", "tiled"]
+)
+
+
+def shrink_blocks(monkeypatch, blocks):
+    if blocks is not None:
+        monkeypatch.setattr(graphs, "_PRODUCT_BLOCK", blocks[0])
+        monkeypatch.setattr(graphs, "_ROWS_BLOCK", blocks[1])
+
+
+@BLOCKS
+def test_block_scan_matches_reference_loop(blocks, monkeypatch):
+    shrink_blocks(monkeypatch, blocks)
+    verdicts = {True: 0, False: 0}
+    for g, n in scan_cases():
+        strong = is_n_saturated(g, n).counterexample
+        assert strong == scan_missing_type(g, n, ones_only=False), (g, n)
+        weak = is_weakly_n_saturated(g, n).counterexample
+        assert weak == scan_missing_type(g, n, ones_only=True), (g, n)
+        verdicts[strong is None] += 1
+        verdicts[weak is None] += 1
+    assert min(verdicts.values()) >= 10
+
+
+@pytest.mark.parametrize("blocks", [None, (120, 2000)], ids=["default", "tiled"])
+@pytest.mark.parametrize("pattern", range(8))
+def test_block_scan_finds_planted_missing_type(pattern, blocks, monkeypatch):
+    # move every realizer of one type over a late triple to the opposite
+    # bit at its largest vertex
+    shrink_blocks(monkeypatch, blocks)
+    v, subset = 120, (70, 95, 110)
+    bits = ((pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1)
+    dense = dense_adjacency(random_graph(v, seed=100 + pattern))
+    outside = np.array([x for x in range(v) if x not in subset])
+    realizers = outside[(dense[np.ix_(outside, subset)] == bits).all(axis=1)]
+    dense[realizers, subset[-1]] ^= 1
+    dense[subset[-1], realizers] ^= 1
+    g = FiniteGraph.from_dense(dense)
+    f = TypeSpec(tuple(zip(subset, bits)))
+    assert find_realizer(g, f) is None
+    rep = is_n_saturated(g, 4)
+    assert rep.counterexample == scan_missing_type(g, 4, ones_only=False)
+    assert rep.counterexample[0] <= subset
+    if pattern == 7:
+        weak = is_weakly_n_saturated(g, 4).counterexample
+        assert weak == scan_missing_type(g, 4, ones_only=True)
+        assert weak[0] <= subset
+
+
+# -- independent n = 3 oracle: realizer counts from matrix products ---------------
+
+
+def n3_realizer_counts(g: FiniteGraph) -> np.ndarray:
+    """counts[2*bit_a + bit_b, a, b]: realizers of {a: bit_a, b: bit_b}, a != b.
+
+    N = adjacency without loops.  Common neighbours are N @ N; a neighbour
+    of a that is not adjacent to b is one of deg(a) neighbours of a, minus
+    the common ones, minus b itself when a ~ b; the all-zero pattern is
+    what remains of the V - 2 vertices outside {a, b}.
+    """
+    v = g.vertex_count
+    nbr = dense_adjacency(g).astype(np.float64)
+    np.fill_diagonal(nbr, 0)
+    both = np.rint(nbr @ nbr).astype(np.int64)  # exact: integer sums far below 2**53
+    deg = nbr.sum(axis=1).astype(np.int64)
+    edge = nbr.astype(np.int64)
+    only_a = deg[:, None] - both - edge
+    only_b = deg[None, :] - both - edge
+    neither = (v - 2) - both - only_a - only_b
+    return np.stack([neither, only_b, only_a, both])
+
+
+def n3_oracle_counterexample(g: FiniteGraph):
+    """Smallest missing type over a pair, in the scan's order (a, b, bits), or None."""
+    counts = n3_realizer_counts(g)
+    v = g.vertex_count
+    missing = (counts == 0) & np.triu(np.ones((v, v), dtype=bool), 1)
+    bad = missing.any(axis=(0, 2))
+    if not bad.any():
+        return None
+    a = int(np.argmax(bad))
+    first = int(np.argmax(missing[:, a, :].T))
+    b, pattern = divmod(first, 4)
+    return (a, b), TypeSpec(((a, pattern >> 1), (b, pattern & 1)))
+
+
+def test_n3_oracle_counts_match_find_realizer():
+    g = random_graph(9, seed=3, edge_prob=0.4)
+    counts = n3_realizer_counts(g)
+    for a, b in itertools.combinations(range(9), 2):
+        for pattern in range(4):
+            f = {a: pattern >> 1, b: pattern & 1}
+            brute = sum(realizes(g, x, f) for x in range(9) if x not in (a, b))
+            assert counts[pattern, a, b] == brute
+
+
+@pytest.mark.parametrize(
+    "v, edge_prob, seed",
+    [(40, 0.5, 0), (60, 0.7, 1), (80, 0.3, 2), (300, 0.5, 3), (600, 0.1, 4), (2500, 0.5, 5)],
+)
+def test_n3_scan_matches_oracle(v, edge_prob, seed):
+    g = random_graph(v, seed=seed, edge_prob=edge_prob)
+    assert is_n_saturated(g, 3).counterexample == n3_oracle_counterexample(g)
+
+
+@pytest.mark.parametrize("pattern", range(4))
+def test_n3_scan_catches_removed_only_realizer(pattern):
+    # Make one type over a late pair (a, b) have a single realizer x by
+    # moving every other realizer to the opposite bit at b, check the graph
+    # is still 3-saturated, then flip the one edge (x, b).
+    v, a, b = 700, 520, 610
+    bit_a, bit_b = pattern >> 1, pattern & 1
+    dense = dense_adjacency(random_graph(v, seed=pattern))
+    outside = np.array([x for x in range(v) if x not in (a, b)])
+    realizers = outside[(dense[outside, a] == bit_a) & (dense[outside, b] == bit_b)]
+    x, others = int(realizers[0]), realizers[1:]
+    dense[others, b] ^= 1
+    dense[b, others] ^= 1
+    g = FiniteGraph.from_dense(dense)
+    assert n3_realizer_counts(g)[pattern, a, b] == 1
+    assert n3_oracle_counterexample(g) is None
+    assert is_n_saturated(g, 3).holds
+    dense[x, b] ^= 1
+    dense[b, x] ^= 1
+    mutated = FiniteGraph.from_dense(dense)
+    f = TypeSpec(((a, bit_a), (b, bit_b)))
+    assert find_realizer(mutated, f) is None
+    assert n3_oracle_counterexample(mutated) == ((a, b), f)
+    assert is_n_saturated(mutated, 3).counterexample == ((a, b), f)

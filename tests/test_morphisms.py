@@ -144,7 +144,7 @@ def test_lifting_matches_product_check_on_small_instances():
         m = 2 + seed % 3
         g = sample_product_graph(base, m, seed=seed * 17 + 1)
         p = division_map(g, base, m)
-        for n in (2, 3):
+        for n in (2, 3, 4):
             general = check_lifting_property(p, n)
             structured = check_product_lifting(g, base, m, n, distinct_bases=True)
             assert general.holds == structured.holds, (seed, n)
