@@ -211,47 +211,48 @@ def _symmetrize_in_place(packed: np.ndarray, v: int) -> None:
 
 # -- fiber lifting verification -------------------------------------------------
 
-# Largest count block (in float32 entries, 512 KiB) one block product of the
-# n >= 4 triple check may materialize.
-_PRODUCT_BLOCK = 1 << 17
+# One block product of the tuple check materializes at most _PRODUCT_ROWS b
+# rows and at most _PRODUCT_BLOCK float32 count entries (4 MiB).  The row cap
+# keeps the wasted part below the diagonal of each block small; without it a
+# narrow plane would take every b row in one block and count the whole square.
+_PRODUCT_BLOCK = 1 << 20
+_PRODUCT_ROWS = 128
 
 
-def _restricted_fiber_block(g: FiniteGraph, i: int, copies: int, tcols: np.ndarray) -> np.ndarray:
-    """Rows (i,0..m) of g restricted to the target columns, as a 0/1 byte matrix."""
-    block = _bits.unpack_rows(g.packed_rows[i * copies : (i + 1) * copies], g.vertex_count)
-    return block[:, tcols]
+def _first_missing_tuple(
+    fiber: np.ndarray, size: int, t_bases: np.ndarray, distinct_bases: bool
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically smallest target tuple with no copy adjacent to all, or None.
 
-
-def _first_missing_triple(
-    fiber_block: np.ndarray, t_bases: np.ndarray, distinct_bases: bool
-) -> Optional[tuple[int, int, int]]:
-    """Smallest target triple a < b < c with no copy adjacent to all three, or None.
-
-    ``fiber_block`` is the copy x target 0/1 matrix F of one base vertex.
-    For each a, the product (F[:, a+1:] * F[:, a]).T @ F[:, a+1:] counts
-    the common copies of (a, b, c) for every b and c above a; counts are at
-    most the number of copies, exact in float32.  With ``distinct_bases``
-    a triple with two targets over one base vertex is exempt.  The b rows
-    go in chunks, keeping each product block at most ``_PRODUCT_BLOCK``
-    entries.
+    ``fiber`` is the copy x target float32 0/1 matrix F of one base vertex,
+    ``t_bases`` the ascending base vertex of each target, and ``size`` >= 2
+    the tuple size.  The walk runs over lexicographic prefixes of size-2
+    targets; the product of the prefix columns marks the common copies of
+    the prefix, and (F[:, b-chunk] * common).T @ F[:, b0+1:] counts the
+    common copies of the prefix plus (b, c) for every b and c above it.
+    Counts are at most the number of copies, exact in float32.  With
+    ``distinct_bases`` tuples with two targets over one base vertex are
+    exempt: since ``t_bases`` is sorted, every target must lie above the
+    last target over the base of the one before it.
     """
-    fiber = fiber_block.astype(np.float32)
     count = fiber.shape[1]
-    step = max(1, _PRODUCT_BLOCK // count)
-    for a in range(count - 2):
-        col_a = fiber[:, a : a + 1]
-        for b0 in range(a + 1, count - 1, step):
+    targets = np.arange(count)
+    # smallest target allowed to follow each target in a tuple
+    after = np.searchsorted(t_bases, t_bases, side="right") if distinct_bases else targets + 1
+    step = max(1, min(_PRODUCT_ROWS, _PRODUCT_BLOCK // max(1, count)))
+    for prefix in itertools.combinations(range(count), size - 2):
+        if any(after[p] > q for p, q in zip(prefix, prefix[1:])):
+            continue
+        lo = int(after[prefix[-1]]) if prefix else 0
+        common = fiber[:, list(prefix)].prod(axis=1, keepdims=True)
+        for b0 in range(lo, count - 1, step):
             b1 = min(count - 1, b0 + step)
-            missing = (fiber[:, b0:b1] * col_a).T @ fiber[:, b0 + 1 :] == 0
-            missing &= np.arange(b0 + 1, count)[None, :] > np.arange(b0, b1)[:, None]
-            if distinct_bases:
-                b_bases, c_bases = t_bases[b0:b1], t_bases[b0 + 1 :]
-                missing &= (b_bases != t_bases[a])[:, None] & (c_bases != t_bases[a])[None, :]
-                missing &= b_bases[:, None] != c_bases[None, :]
+            missing = (fiber[:, b0:b1] * common).T @ fiber[:, b0 + 1 :] == 0
+            missing &= targets[b0 + 1 :] >= after[b0:b1, None]
             bad = missing.any(axis=1)
             if bad.any():
-                i = int(np.argmax(bad))
-                return a, b0 + i, b0 + 1 + int(np.argmax(missing[i]))
+                r = int(np.argmax(bad))
+                return prefix + (b0 + r, b0 + 1 + int(np.argmax(missing[r])))
     return None
 
 
@@ -268,11 +269,11 @@ def check_product_lifting(
     lying over base neighbours of i (repeats allowed; pass
     ``distinct_bases=True`` to restrict to configurations over pairwise
     distinct base vertices), some copy (i, l) must be adjacent to all of
-    them.  Copy masks per target make each configuration an AND-reduction;
-    triples are counted in blocks by :func:`_first_missing_triple`.  The
-    scan runs base vertices in ascending order, checking singletons, then
-    pairs, then larger tuples lexicographically, so failures are reported
-    deterministically.
+    them.  Singletons are a fiber-union test over chunks of base vertices;
+    every larger tuple size is counted in blocks by
+    :func:`_first_missing_tuple`.  The scan runs base vertices in ascending
+    order, checking singletons, then pairs, then larger tuples
+    lexicographically, so failures are reported deterministically.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -283,67 +284,24 @@ def check_product_lifting(
     if n == 1:
         return LiftingReport(True)
     base_bits = _bits.unpack_rows(base.packed_rows, k)
-    if n == 2:
-        fiber_view = g.packed_rows.reshape(k, copies, -1)
-        union = np.bitwise_or.reduce(fiber_view, axis=1)
-        chunk = max(1, (1 << 24) // max(1, g.vertex_count))
-        for i0 in range(0, k, chunk):
-            i1 = min(k, i0 + chunk)
-            expanded = _bits.pack_bits(np.repeat(base_bits[i0:i1], copies, axis=1))
-            missing = expanded & ~union[i0:i1]
-            for local in range(i1 - i0):
-                if missing[local].any():
-                    t = _bits.lowest_set_bit(missing[local])
-                    return LiftingReport(False, (i0 + local, (t,)))
-        return LiftingReport(True)
-    for i in range(k):
-        tcols = np.nonzero(np.repeat(base_bits[i].astype(bool), copies))[0]
-        t_bases = tcols // copies
-        fiber_block = _restricted_fiber_block(g, i, copies, tcols)
-        masks = _bits.pack_bits(np.ascontiguousarray(fiber_block.T))
-        nonzero = masks.any(axis=1)
-        if not nonzero.all():
-            t = int(np.argmin(nonzero))
-            return LiftingReport(False, (i, (int(tcols[t]),)))
-        count = len(tcols)
-        # two targets share a copy exactly when each lies in the union of
-        # the copy-member sets containing the other; building those unions
-        # replaces the all-pairs mask scan with one scatter-OR per copy
-        per_copy = _bits.pack_bits(fiber_block)
-        covered = np.zeros((count, per_copy.shape[1]), dtype=np.uint64)
-        for l in range(copies):
-            members = np.nonzero(fiber_block[l])[0]
-            if len(members):
-                covered[members] |= per_copy[l]
-        full = _bits.full_row(count)
-        if distinct_bases:
-            # misses inside a target's own fiber group do not count
-            group_bits = (t_bases[None, :] == np.unique(t_bases)[:, None]).astype(np.uint8)
-            group_words = _bits.pack_bits(group_bits)
-            group_index = np.searchsorted(np.unique(t_bases), t_bases)
-            missing = (covered ^ full) & ~group_words[group_index] & full
-        else:
-            missing = (covered ^ full) & full
-        bad = missing.any(axis=1)
-        if bad.any():
-            a = int(np.argmax(bad))
-            b = _bits.lowest_set_bit(missing[a])
-            return LiftingReport(False, (i, (int(tcols[a]), int(tcols[b]))))
-        if n >= 4:
-            triple = _first_missing_triple(fiber_block, t_bases, distinct_bases)
-            if triple is not None:
-                return LiftingReport(False, (i, tuple(int(tcols[t]) for t in triple)))
-        if n >= 5:
-            mask_ints = [_bits.row_to_int(masks[t]) for t in range(count)]
-            for size in range(4, n):
-                for sub in itertools.combinations(range(count), size):
-                    if distinct_bases and len({int(t_bases[t]) for t in sub}) < size:
-                        continue
-                    cand = -1
-                    for t in sub:
-                        cand &= mask_ints[t]
-                    if cand == 0:
-                        return LiftingReport(False, (i, tuple(int(tcols[t]) for t in sub)))
+    union = np.bitwise_or.reduce(g.packed_rows.reshape(k, copies, -1), axis=1)
+    chunk = max(1, (1 << 24) // max(1, g.vertex_count))
+    for i0 in range(0, k, chunk):
+        i1 = min(k, i0 + chunk)
+        expanded = _bits.pack_bits(np.repeat(base_bits[i0:i1], copies, axis=1))
+        missing = expanded & ~union[i0:i1]
+        for i in range(i0, i1):
+            if missing[i - i0].any():
+                return LiftingReport(False, (i, (_bits.lowest_set_bit(missing[i - i0]),)))
+            if n == 2:
+                continue
+            tcols = np.nonzero(np.repeat(base_bits[i].astype(bool), copies))[0]
+            rows = g.packed_rows[i * copies : (i + 1) * copies]
+            fiber = _bits.unpack_rows(rows, g.vertex_count)[:, tcols].astype(np.float32)
+            for size in range(2, n):
+                found = _first_missing_tuple(fiber, size, tcols // copies, distinct_bases)
+                if found is not None:
+                    return LiftingReport(False, (i, tuple(int(tcols[t]) for t in found)))
     return LiftingReport(True)
 
 

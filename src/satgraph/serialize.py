@@ -15,9 +15,7 @@ from typing import IO, Any
 import numpy as np
 
 from .graphs import FiniteGraph
-from .towers import Tower
-
-_MAX_SEED = 2**64 - 1
+from .towers import MAX_SEED, Tower
 
 
 class FormatError(ValueError):
@@ -127,7 +125,7 @@ def tower_from_obj(obj: Any) -> Tower:
     n, seed = obj["n"], obj["seed"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FormatError("n must be a positive integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _MAX_SEED:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= MAX_SEED:
         raise FormatError("seed must be a 64-bit unsigned integer")
     levels_obj, bonds_obj, ms_obj = obj["levels"], obj["bonds"], obj["per_level_m"]
     if not isinstance(levels_obj, list) or not levels_obj:

@@ -26,6 +26,10 @@ from .graphs import FiniteGraph, TypeSpec, find_realizer, is_n_saturated
 from .morphisms import GraphMap
 
 
+# Tower seeds are 64-bit unsigned integers; the file format holds no others.
+MAX_SEED = 2**64 - 1
+
+
 class TooManyConstraints(ValueError):
     """A type over a set of n-1 threads admits at most n-1 constraints."""
 
@@ -134,7 +138,10 @@ def new_tower(n: int, seed: int) -> Tower:
     """Depth-0 tower holding only the complete graph on n vertices."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return Tower(n, int(seed), (FiniteGraph.complete(n),), ())
+    seed = int(seed)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return Tower(n, seed, (FiniteGraph.complete(n),), ())
 
 
 def extend_tower(t: Tower, m: Optional[int] = None, max_attempts: int = 64) -> Tower:
@@ -325,6 +332,8 @@ def canonical_extension(t: Tower, prefix: ThreadLike, target_depth: int) -> Thre
     prefix = validate_prefix(t, prefix)
     if target_depth > t.depth:
         raise ValueError("target depth exceeds tower depth")
+    if target_depth < prefix.depth:
+        raise ValueError("target depth is below the prefix depth")
     entries = list(prefix.entries)
     for level in range(prefix.depth, target_depth):
         entries.append(entries[-1] * (t.per_level_m[level] + 1))
@@ -356,6 +365,8 @@ def random_thread(t: Tower, seed: int) -> ThreadPrefix:
 def adjacency_status(t: Tower, a: ThreadLike, b: ThreadLike, depth: int) -> AdjacencyStatus:
     """First level up to ``depth`` separating the threads, if any."""
     a, b = _coerce_prefix(a), _coerce_prefix(b)
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     if depth > a.depth or depth > b.depth:
         raise ValueError("depth exceeds a prefix's materialized depth")
     if depth > t.depth:

@@ -1,3 +1,4 @@
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -12,6 +13,23 @@ from satgraph.towers import Tower, extend_tower, new_tower
 def division_map(g: FiniteGraph, base: FiniteGraph, m: int) -> GraphMap:
     """The fiber projection ``v -> v // (m+1)`` of a product graph onto its base."""
     return GraphMap(g, base, np.arange(g.vertex_count) // (m + 1))
+
+
+def orthogonal_fibers():
+    """Product graph over K4 whose lifting holds for triples but not for four targets.
+
+    Each fiber has 15 copies labelled by the nonzero vectors of F_2^4, and two
+    vertices are adjacent when their labels are orthogonal.  Any three labels
+    have a nonzero common orthogonal vector; four labels spanning F_2^4 do not.
+    """
+    k, copies = 4, 15
+    label = [u % copies + 1 for u in range(k * copies)]
+    edges = [
+        (u, w)
+        for u, w in itertools.combinations(range(k * copies), 2)
+        if bin(label[u] & label[w]).count("1") % 2 == 0
+    ]
+    return FiniteGraph.from_edges(k * copies, edges), FiniteGraph.complete(k), copies - 1
 
 
 @pytest.fixture(scope="session")

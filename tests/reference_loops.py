@@ -1,8 +1,9 @@
 """Per-pair loop versions of the saturation scan and the product lifting check.
 
-These are the loops the library ran before its n >= 4 paths became block
-products over the (b, c) plane.  They stay here as references: the tests
-require the library to report exactly the counterexamples these report.
+These are the loops the library ran before its n >= 4 saturation scan and
+its lifting tuple check became block products over the (b, c) plane.  They
+stay here as references: the tests require the library to report exactly
+the counterexamples these report.
 """
 
 import itertools
@@ -58,10 +59,12 @@ def scan_missing_type(g: FiniteGraph, n: int, ones_only: bool):
 
 
 def product_lifting_loops(g: FiniteGraph, base: FiniteGraph, m: int, n: int, distinct_bases=False):
-    """First lifting counterexample ``(i, targets)`` for 3 <= n <= 4, or None.
+    """First lifting counterexample ``(i, targets)`` for n >= 3, or None.
 
-    Per base vertex i: singletons, then pairs, then (for n = 4) target
-    triples a < b < c, one AND-reduction over the tail per pair (a, b).
+    Per base vertex i: singletons, then pairs, then (for n >= 4) target
+    triples a < b < c, one AND-reduction over the tail per pair (a, b),
+    then (for n >= 5) every larger tuple size, one Python-int AND per
+    combination.
     """
     k = base.vertex_count
     copies = m + 1
@@ -96,4 +99,15 @@ def product_lifting_loops(g: FiniteGraph, base: FiniteGraph, m: int, n: int, dis
                     if not ok.all():
                         c = b + 1 + int(np.argmin(ok))
                         return i, (int(tcols[a]), int(tcols[b]), int(tcols[c]))
+        if n >= 5:
+            mask_ints = [_bits.row_to_int(masks[t]) for t in range(count)]
+            for size in range(4, n):
+                for sub in itertools.combinations(range(count), size):
+                    if distinct_bases and len({int(t_bases[t]) for t in sub}) < size:
+                        continue
+                    cand = -1
+                    for t in sub:
+                        cand &= mask_ints[t]
+                    if cand == 0:
+                        return i, tuple(int(tcols[t]) for t in sub)
     return None

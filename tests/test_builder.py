@@ -23,7 +23,7 @@ from satgraph.builder import (
 from satgraph.graphs import FiniteGraph, is_n_saturated, random_graph
 from satgraph.morphisms import is_quotient_map
 
-from conftest import division_map
+from conftest import division_map, orthogonal_fibers
 from reference_loops import product_lifting_loops
 
 K1 = FiniteGraph.complete(1)
@@ -241,25 +241,49 @@ def test_lifting_triple_witness_over_k1(seed, witness):
     assert check_product_lifting(g, K1, 4, 4, distinct_bases=True).holds
 
 
+def test_lifting_four_target_witness_over_k4():
+    g, base, m = orthogonal_fibers()
+    for distinct, witness in ((False, (0, 1, 3, 14)), (True, (0, 16, 33, 53))):
+        assert check_product_lifting(g, base, m, 4, distinct_bases=distinct).holds
+        rep = check_product_lifting(g, base, m, 5, distinct_bases=distinct)
+        assert rep.counterexample == (0, witness) == product_lifting_loops(g, base, m, 5, distinct)
+        assert not any(all(g.adjacent(copy, t) for t in witness) for copy in range(m + 1))
+
+
 # block=8 shrinks the product budget to one b row per chunk, and block=64 to
-# a few rows, so the chunked path is compared too
+# a few rows, so the chunked path is compared too; n=5 uses smaller m because
+# the reference loops over every four-target combination in Python, and more
+# seeds because four-target witnesses are rare
 @pytest.mark.parametrize("block", [None, 8, 64])
-def test_lifting_block_triples_match_reference_loop(block, monkeypatch):
+@pytest.mark.parametrize("n", [3, 4, 5], ids=["n3", "n4", "n5"])
+def test_lifting_block_tuples_match_reference_loop(n, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(builder, "_PRODUCT_BLOCK", block)
     outcomes = {}
-    for k, top_m in ((1, 11), (2, 24), (3, 30)):
+    for k, top_m in ((1, 16), (2, 12), (3, 9)) if n == 5 else ((1, 11), (2, 24), (3, 30)):
         for m in range(3, top_m + 1):
-            for seed in range(8):
+            for seed in range(16 if n == 5 else 8):
                 base = FiniteGraph.complete(k) if seed % 2 else random_graph(k, seed=seed)
                 g = sample_product_graph(base, m, seed=seed)
                 for distinct in (False, True):
-                    rep = check_product_lifting(g, base, m, 4, distinct_bases=distinct)
-                    assert rep.counterexample == product_lifting_loops(g, base, m, 4, distinct)
+                    rep = check_product_lifting(g, base, m, n, distinct_bases=distinct)
+                    assert rep.counterexample == product_lifting_loops(g, base, m, n, distinct)
                     size = len(rep.counterexample[1]) if rep.counterexample else 0
                     outcomes[distinct, size] = outcomes.get((distinct, size), 0) + 1
+                    if rep.counterexample:
+                        i, targets = rep.counterexample
+                        bases = [t // (m + 1) for t in targets]
+                        assert all(base.adjacent(i, b) for b in bases)
+                        assert not distinct or len(set(bases)) == size
+                        fiber = range(i * (m + 1), (i + 1) * (m + 1))
+                        assert not any(all(g.adjacent(u, t) for t in targets) for u in fiber)
+    # passes and every witness size occur; with distinct bases, four targets
+    # need four base vertices, and these bases give a single n=5 triple
     for distinct in (False, True):
-        assert outcomes.get((distinct, 3), 0) >= 5 and outcomes.get((distinct, 0), 0) >= 5
+        assert outcomes.get((distinct, 0), 0) >= 5, outcomes
+        for size in range(2, min(n, 4) if distinct else n):
+            least = 1 if (n, distinct, size) == (5, True, 3) else 5
+            assert outcomes.get((distinct, size), 0) >= least, (distinct, size, outcomes)
 
 
 # -- rejection sampling ---------------------------------------------------------------

@@ -131,6 +131,16 @@ def test_usage_errors(capsys):
     assert run(["build", "--n", "2", "--depth", "1", "--m", "0", "--out", "x"], capsys)[0] == EXIT_USAGE
 
 
+def test_build_seed_range(tmp_path, capsys):
+    too_big, largest = tmp_path / "too_big.json", tmp_path / "largest.json"
+    args = ["build", "--n", "2", "--depth", "1", "--out"]
+    code, _, err = run(args + [str(too_big), "--seed", str(2**64)], capsys)
+    assert code == EXIT_USAGE and "64-bit" in err
+    assert not too_big.exists()
+    assert run(args + [str(largest), "--seed", str(2**64 - 1)], capsys)[0] == EXIT_OK
+    assert run(["verify", "--in", str(largest)], capsys)[0] == EXIT_OK
+
+
 def test_realize_empty_type_prints_canonical_root(tower_file, tmp_path, capsys):
     payload = tmp_path / "type.json"
     payload.write_text('{"constraints":[]}')

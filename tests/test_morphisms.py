@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from satgraph.morphisms import (
     is_surjective,
 )
 
-from conftest import division_map
+from conftest import division_map, orthogonal_fibers
 
 
 def edgeless(n):
@@ -139,12 +137,22 @@ def test_lifting_counterexample_rechecks():
 
 
 def test_lifting_matches_product_check_on_small_instances():
+    instances = []
     for seed in range(25):
         base = random_graph(3, seed=seed)
         m = 2 + seed % 3
-        g = sample_product_graph(base, m, seed=seed * 17 + 1)
+        instances.append((sample_product_graph(base, m, seed=seed * 17 + 1), base, m))
+    # a 3-vertex base has no four distinct base neighbours, so only this
+    # instance can tell n=5 from n=4
+    instances.append(orthogonal_fibers())
+    verdicts = set()
+    for g, base, m in instances:
         p = division_map(g, base, m)
-        for n in (2, 3, 4):
+        holds = []
+        for n in (2, 3, 4, 5):
             general = check_lifting_property(p, n)
             structured = check_product_lifting(g, base, m, n, distinct_bases=True)
-            assert general.holds == structured.holds, (seed, n)
+            assert general.holds == structured.holds, (base.vertex_count, m, n)
+            holds.append(structured.holds)
+        verdicts.add(tuple(holds))
+    assert (True, True, True, False) in verdicts

@@ -51,6 +51,9 @@ def test_new_tower_levels():
     t4 = new_tower(4, seed=0)
     assert t4.levels[0].edge_count() == 6
     assert verify_tower(t4).ok  # depth 0 passes trivially
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="64-bit"):
+            new_tower(2, seed=seed)
 
 
 def test_extend_n1_two_vertices():
@@ -165,6 +168,8 @@ def test_canonical_extension_and_validation(t2_small):
     validate_prefix(t2_small, full)
     with pytest.raises(ValueError):
         canonical_extension(t2_small, root, 3)
+    with pytest.raises(ValueError, match="below the prefix depth"):
+        canonical_extension(t2_small, full, 1)
     with pytest.raises(ValueError):
         validate_prefix(t2_small, ThreadPrefix((0, 1, 0)))
 
@@ -254,6 +259,12 @@ def test_adjacency_status_reflexive_and_root(t2_small):
     # level 0 is complete so the roots are adjacent there
     status = adjacency_status(t2_small, a, b, 0)
     assert status.adjacent_through_depth
+
+
+def test_adjacency_status_rejects_negative_depth(t2_small):
+    a = canonical_thread(t2_small, 0, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        adjacency_status(t2_small, a, a, -1)
 
 
 def test_adjacency_status_finds_separating_level(t2_small):
