@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,25 +25,6 @@ from .graphs import FiniteGraph, is_n_saturated, is_weakly_n_saturated
 from .morphisms import LiftingReport
 
 SeedLike = Union[int, np.random.SeedSequence]
-
-
-class ProductVertex(NamedTuple):
-    """A product-graph vertex: base vertex index plus copy level 0..m."""
-
-    base: int
-    copy: int
-
-
-def product_index(base: int, copy: int, m: int) -> int:
-    """Flattened index of (base, copy); bijective with 0..k(m+1)-1."""
-    if not 0 <= copy <= m:
-        raise ValueError("copy level out of range")
-    return base * (m + 1) + copy
-
-
-def product_coords(index: int, m: int) -> ProductVertex:
-    base, copy = divmod(index, m + 1)
-    return ProductVertex(base, copy)
 
 
 # -- exact failure bounds ----------------------------------------------------
@@ -104,31 +85,25 @@ class _BitStream:
 
     Bit t of the stream is bit (t mod 64) of raw output word t // 64, in
     little-endian byte order, so the pair-index-to-bit mapping is fixed no
-    matter how the consumer batches its reads.
+    matter how the consumer batches its reads.  Each take draws exactly the
+    raw words it needs; only the last word, while fewer than 64 of its bits
+    are unread, carries over to the next take.
     """
 
     def __init__(self, seed: SeedLike):
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
         self._raw = np.random.Philox(ss)
-        self._buf = np.empty(0, dtype=np.uint8)
-        self._pos = 0
-        self._chunk = 1 << 12  # grows geometrically so heavy consumers refill rarely
+        self._tail = np.empty(0, dtype=np.uint64)  # the last word drawn, while it has unread bits
+        self._read = 0  # bits of the tail word already taken
 
     def take(self, count: int) -> np.ndarray:
-        while len(self._buf) - self._pos < count:
-            self._refill(count)
-        out = self._buf[self._pos : self._pos + count]
-        self._pos += count
-        return out
-
-    def _refill(self, need: int) -> None:
-        words = max(self._chunk, (need + 63) // 64)
-        self._chunk = min(self._chunk * 4, 1 << 21)
-        raw = self._raw.random_raw(words)
-        bits = np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")
-        leftover = self._buf[self._pos :]
-        self._buf = np.concatenate([leftover, bits]) if len(leftover) else bits
-        self._pos = 0
+        start = self._read
+        end = start + count
+        words = max(0, -((64 * len(self._tail) - end) // 64))  # ceil(missing bits / 64)
+        raw = np.concatenate([self._tail, self._raw.random_raw(words)])
+        self._tail = raw[end // 64 :].copy()
+        self._read = end % 64
+        return np.unpackbits(raw.astype("<u8").view(np.uint8), bitorder="little")[start:end]
 
 
 def sample_product_graph(base: FiniteGraph, m: int, seed: SeedLike) -> FiniteGraph:
@@ -152,6 +127,9 @@ def sample_product_graph(base: FiniteGraph, m: int, seed: SeedLike) -> FiniteGra
     base_bits = _bits.unpack_rows(base.packed_rows, k)
     stream = _BitStream(seed)
     copy_range = np.arange(copies, dtype=np.int32)
+    # one block reused by every base vertex, since a fresh one each time costs
+    # page faults; word-aligned width keeps packbits from taking a padding-copy pass
+    blockbits = np.empty((copies, w * 64), dtype=np.uint8)
     for i in range(k):
         # all product vertices over base neighbours of i, ascending
         neighbors = np.nonzero(base_bits[i])[0].astype(np.int32)
@@ -165,8 +143,7 @@ def sample_product_graph(base: FiniteGraph, m: int, seed: SeedLike) -> FiniteGra
         counts = np.empty(copies, dtype=np.int64)
         counts[0] = len(off_copy0) - start0
         counts[1:] = len(all_targets) - starts
-        # word-aligned width keeps packbits from taking a padding-copy pass
-        blockbits = np.zeros((copies, w * 64), dtype=np.uint8)
+        blockbits.fill(0)
         total = int(counts.sum())
         if total:
             coins = stream.take(total)
@@ -184,29 +161,24 @@ def sample_product_graph(base: FiniteGraph, m: int, seed: SeedLike) -> FiniteGra
 
 
 def _symmetrize_in_place(packed: np.ndarray, v: int) -> None:
-    """OR the transpose of the strictly-upper fill into the matrix.
+    """OR the transpose of the strictly-upper fill into the matrix, in place.
 
-    Works block-wise at the word level and touches only the 64x64 bit
-    blocks on or above the diagonal: everything below is zero by
-    construction, so its transpose contributes nothing.
+    For each word column a, the 64 rows 64a.. over words a.. are copied into
+    one reused stripe and transposed block by block; the stripe then holds
+    word column a of rows 64a.. .  Everything below the diagonal blocks is
+    zero by construction, and later stripes read only word columns above a,
+    so writing column a never feeds back into a later read.
     """
     w = _bits.word_count(v)
-    out = np.zeros((w, 64, w), dtype=np.uint64)  # out[b, r, a] = row b*64+r, word a
-    stripe = np.zeros((64, w), dtype=np.uint64)
-    group = 8  # write groups of 8 word-columns: one cache line per output row
-    for a0 in range(0, w, group):
-        a1 = min(w, a0 + group)
-        stack = np.zeros((w - a0, 64, a1 - a0), dtype=np.uint64)
-        for q, a in enumerate(range(a0, a1)):
-            r0, r1 = a * 64, min((a + 1) * 64, v)
-            stripe[: r1 - r0, a:] = packed[r0:r1, a:]
-            if r1 - r0 < 64:
-                stripe[r1 - r0 :, a:] = 0
-            sub = stripe[:, a:]
-            _bits._transpose64_stripe(sub)
-            stack[a - a0 :, :, q] = sub.T
-        out[a0:, :, a0:a1] = stack
-    packed |= out.reshape(w * 64, w)[:v]
+    stripe = np.empty((64, w), dtype=np.uint64)
+    for a in range(w):
+        r0 = a * 64
+        rows = min(64, v - r0)
+        stripe[:rows, a:] = packed[r0 : r0 + rows, a:]
+        stripe[rows:, a:] = 0
+        sub = stripe[:, a:]
+        _bits._transpose64_stripe(sub)
+        packed[r0:, a] |= sub.T.reshape(-1)[: v - r0]
 
 
 # -- fiber lifting verification -------------------------------------------------

@@ -11,7 +11,7 @@ def reference_transpose(packed, nbits):
 
 def test_symmetrize_in_place_matches_reference():
     rng = np.random.default_rng(3)
-    for nbits in (1, 7, 63, 64, 65, 100, 200, 257):
+    for nbits in (1, 7, 63, 64, 65, 100, 200, 257, 640, 1000, 1025):
         upper = np.triu(rng.integers(0, 2, size=(nbits, nbits), dtype=np.uint8), k=1)
         packed = _bits.pack_bits(upper)
         expected = packed | reference_transpose(packed, nbits)

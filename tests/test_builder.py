@@ -1,5 +1,10 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,19 +14,17 @@ from hypothesis import strategies as st
 from satgraph import builder
 from satgraph.builder import (
     AttemptsExhausted,
-    ProductVertex,
     attempt_seed,
     build_extension,
     check_product_lifting,
     lifting_failure_bound,
     minimal_certified_m,
-    product_coords,
-    product_index,
     sample_product_graph,
     saturation_failure_bound,
 )
 from satgraph.graphs import FiniteGraph, is_n_saturated, random_graph
 from satgraph.morphisms import is_quotient_map
+from satgraph.towers import extend_tower, new_tower
 
 from conftest import division_map, orthogonal_fibers
 from reference_loops import product_lifting_loops
@@ -84,22 +87,6 @@ def test_bounds_validate_inputs():
         lifting_failure_bound(2, 2, 0)
     with pytest.raises(ValueError):
         minimal_certified_m(3, 2)
-
-
-# -- product vertex encoding ----------------------------------------------------
-
-
-def test_product_vertex_round_trip():
-    m = 4
-    seen = set()
-    for i in range(3):
-        for s in range(m + 1):
-            idx = product_index(i, s, m)
-            assert product_coords(idx, m) == ProductVertex(i, s)
-            seen.add(idx)
-    assert seen == set(range(15))
-    with pytest.raises(ValueError):
-        product_index(0, 5, 4)
 
 
 # -- sampling: structural conditions hold for every seed --------------------------
@@ -175,6 +162,74 @@ def test_sample_reproducible_and_substreams_differ():
     s0 = sample_product_graph(K2, 6, attempt_seed(42, 0))
     s1 = sample_product_graph(K2, 6, attempt_seed(42, 1))
     assert s0 != s1
+
+
+def test_bit_stream_takes_are_slices_of_one_stream():
+    rng = np.random.default_rng(11)
+    sizes = [0, 1, 63, 64, 65, 4096 * 64 + 3] + rng.integers(0, 300, size=40).tolist()
+    for seed in range(3):
+        whole = builder._BitStream(seed).take(sum(sizes))
+        # bit t is bit t % 64 of raw word t // 64
+        raw = np.random.Philox(np.random.SeedSequence(seed)).random_raw(len(whole) // 64 + 1)
+        t = np.arange(len(whole))
+        assert np.array_equal(whole, (raw[t // 64] >> (t % 64).astype(np.uint64)) & np.uint64(1))
+        stream = builder._BitStream(seed)
+        pos = 0
+        for size in sizes:
+            assert np.array_equal(stream.take(size), whole[pos : pos + size]), (seed, size)
+            pos += size
+
+
+def _level2_of_n2_seed7_tower():
+    t = new_tower(2, seed=7)
+    return extend_tower(extend_tower(t)).levels[2]
+
+
+# SHA-256 of packed_rows for fixed (base, m, seed); pins the sampler bit for bit.
+GOLDEN_SAMPLES = [
+    ("K1", lambda: K1, 1, 0, 2, "0fec49e5cb80c80f848a00237963650b3d777cd7a75e6fadc16db41e7b6b92e1"),
+    ("K1-m5", lambda: K1, 5, 3, 6, "9a3067d08c1cb1af93858b605641416d0c055ab9b8e0443faaddc8ca0825f29b"),
+    ("K2", lambda: K2, 6, 42, 14, "ff4f8367ad3817cc36fd1bd1298fa5cf45cca621a0969eb5b20e9b73ddb75a98"),
+    ("K4", lambda: FiniteGraph.complete(4), 158, 7, 636,
+     "b00c21f258372f9c9b2d9971fcb8edbe0f5a85b2d49ee99e6b6bfdaac4d42243"),
+    ("C5", lambda: FiniteGraph.cycle(5), 30, 11, 155,
+     "69c034b5d45f69dfb73c1698c24562272f13b5a1599a8b07d7db5039a2ab03ae"),
+    ("n2-level2", _level2_of_n2_seed7_tower, 20, 5, 3822,
+     "3f0a38b8f9375ef5d15d5b303eac5bd3912dd510967780fcc7d5953e0877b8c3"),
+]
+
+
+@pytest.mark.parametrize("name,base,m,seed,v,digest", GOLDEN_SAMPLES, ids=[c[0] for c in GOLDEN_SAMPLES])
+def test_sample_golden_digests(name, base, m, seed, v, digest):
+    g = sample_product_graph(base(), m, seed)
+    assert g.vertex_count == v
+    assert hashlib.sha256(g.packed_rows.tobytes()).hexdigest() == digest
+
+
+_PEAK_PROBE = """
+import resource
+from satgraph.builder import sample_product_graph
+from satgraph.towers import extend_tower, new_tower
+base = extend_tower(extend_tower(new_tower(2, seed=7))).levels[2]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+g = sample_product_graph(base, 109, seed=1)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(g.packed_rows.nbytes, (after - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_sample_peak_memory_stays_near_packed_size():
+    # V = 182 * 110 = 20,020 vertices, 47.8 MiB packed; a second matrix would double it
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    packed_bytes, grown = map(int, proc.stdout.split())
+    assert packed_bytes == 20020 * 313 * 8
+    assert grown <= 1.5 * packed_bytes, (grown / 2**20, packed_bytes / 2**20)
 
 
 def test_sample_rejects_m_zero():

@@ -84,6 +84,19 @@ def test_verify_catches_single_edge_deletion(tower_file, tmp_path, capsys):
     assert code == EXIT_VERIFY
 
 
+def test_verify_catches_reseeded_tower(tower_file, tmp_path, capsys):
+    # every level still passes verify_tower; only the seeded replay tells them apart
+    tower = load_tower(tower_file)
+    reseeded = Tower(tower.n, tower.seed + 1, tower.levels, tower.per_level_m)
+    path = tmp_path / "reseeded.json"
+    with open(path, "w") as fp:
+        serialize.write_tower(reseeded, fp)
+    code, out, err = run(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_VERIFY
+    assert "stored tower differs from its seeded reconstruction" in out
+    assert "ok seed-reconstruction" not in out
+
+
 def test_verify_relabelled_top_level_malformed(tower_file, tmp_path, capsys, relabel_top_level):
     with open(tower_file) as fp:
         relabelled = relabel_top_level(json.load(fp))
