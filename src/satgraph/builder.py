@@ -116,6 +116,12 @@ def sample_product_graph(base: FiniteGraph, m: int, seed: SeedLike) -> FiniteGra
     fair coin, and all loops are present.  Coins are consumed in
     lexicographic order of flattened vertex pairs, one bit per pair, so
     identical (base, m, seed) always reproduce the same graph bit for bit.
+
+    The fibers over base vertex i are filled through one boolean mask of
+    their pairs above the diagonal over base neighbours of i; copy 0 to
+    copy 0 pairs repeat base edges and are set apart from the coins.
+    Assigning the coins to the mask's True positions fills them in
+    row-major order, which is the lexicographic pair order.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -124,39 +130,22 @@ def sample_product_graph(base: FiniteGraph, m: int, seed: SeedLike) -> FiniteGra
     v = k * copies
     w = _bits.word_count(v)
     packed = np.zeros((v, w), dtype=np.uint64)
-    base_bits = _bits.unpack_rows(base.packed_rows, k)
+    base_bits = _bits.unpack_rows(base.packed_rows, k).astype(bool)
     stream = _BitStream(seed)
-    copy_range = np.arange(copies, dtype=np.int32)
-    # one block reused by every base vertex, since a fresh one each time costs
-    # page faults; word-aligned width keeps packbits from taking a padding-copy pass
-    blockbits = np.empty((copies, w * 64), dtype=np.uint8)
+    col = np.arange(v)
+    copy0 = col % copies == 0
     for i in range(k):
-        # all product vertices over base neighbours of i, ascending
-        neighbors = np.nonzero(base_bits[i])[0].astype(np.int32)
-        fiber_cols = neighbors[:, None] * np.int32(copies) + copy_range[None, :]
-        all_targets = fiber_cols.ravel()
-        off_copy0 = np.ascontiguousarray(fiber_cols[:, 1:]).ravel()
         u0 = i * copies
-        # per-row candidate tails, in row order, so one take() covers the fiber
-        start0 = int(np.searchsorted(off_copy0, u0 + 1))
-        starts = np.searchsorted(all_targets, np.arange(u0 + 2, u0 + copies + 1))
-        counts = np.empty(copies, dtype=np.int64)
-        counts[0] = len(off_copy0) - start0
-        counts[1:] = len(all_targets) - starts
-        blockbits.fill(0)
-        total = int(counts.sum())
-        if total:
-            coins = stream.take(total)
-            rows = np.repeat(copy_range, counts)
-            cols = np.concatenate([off_copy0[start0:]] + [all_targets[s:] for s in starts])
-            blockbits[rows, cols] = coins
-        blockbits[0, neighbors[neighbors > i] * copies] = 1
-        packed[u0 : u0 + copies] = np.packbits(blockbits, axis=-1, bitorder="little").view(
-            np.uint64
-        )
+        a = u0 // 64  # the rows' words left of word a stay zero
+        bits = col[64 * a :] > np.arange(u0, u0 + copies)[:, None]
+        bits &= np.repeat(base_bits[i], copies)[64 * a :]  # fibers over base neighbours of i
+        edges0 = bits[0] & copy0[64 * a :]  # copy 0 to copy 0 repeats the base edge
+        bits[0] ^= edges0
+        bits[bits] = stream.take(np.count_nonzero(bits))
+        bits[0] |= edges0
+        packed[u0 : u0 + copies, a:] = _bits.pack_bits(bits)
     _symmetrize_in_place(packed, v)
-    diag = np.arange(v)
-    packed[diag, diag >> 6] |= np.uint64(1) << (diag & 63).astype(np.uint64)
+    packed[col, col >> 6] |= np.uint64(1) << (col & 63).astype(np.uint64)
     return FiniteGraph(v, packed, validate=False)
 
 

@@ -159,7 +159,7 @@ def _parse_constraints(payload: Any, tower: Tower) -> list[tuple[ThreadPrefix, i
         if not isinstance(item, dict) or "bit" not in item:
             raise FormatError('each constraint needs a "bit" and a thread')
         bit = item["bit"]
-        if bit not in (0, 1) or isinstance(bit, bool):
+        if type(bit) is not int or bit not in (0, 1):
             raise FormatError("constraint bits must be 0 or 1")
         keys = set(item.keys()) - {"bit"}
         try:

@@ -235,6 +235,13 @@ def verify_tower(t: Tower) -> TowerReport:
     configurations over distinct base vertices; and one-step splitting
     (every vertex has at least two preimages one level up).  The bonds are
     the division maps derived from ``per_level_m``.
+
+    The lifting check uses the distinct-bases form because that is what
+    the limit needs: ``realize_type`` lifts only above the separation
+    level, where the constraint entries are pairwise distinct, and so are
+    their projections one level down.  The repeats-allowed form is build's
+    acceptance rule; it decides which sample becomes the tower, so it
+    cannot change without changing towers.
     """
     checks: list[tuple[str, bool, str]] = []
 

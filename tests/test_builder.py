@@ -196,6 +196,15 @@ GOLDEN_SAMPLES = [
      "69c034b5d45f69dfb73c1698c24562272f13b5a1599a8b07d7db5039a2ab03ae"),
     ("n2-level2", _level2_of_n2_seed7_tower, 20, 5, 3822,
      "3f0a38b8f9375ef5d15d5b303eac5bd3912dd510967780fcc7d5953e0877b8c3"),
+    # an isolated base vertex: its fiber rows draw no coins
+    ("isolated", lambda: FiniteGraph.from_edges(3, [(0, 1)]), 3, 5, 12,
+     "0a908198ca7a77f8ffb44e15c52188d4faad03a2f753915cd82298d8c2038ae0"),
+    # the last base vertex has only lower neighbours, and m is at its minimum
+    ("path4-m1", lambda: FiniteGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), 1, 13, 8,
+     "5fa247b0e4f24f8b530ed0d7840d0798a373f1d3d8ecd57f47d39542dcc77ae1"),
+    # no base edges: every fiber draws coins only inside itself
+    ("edgeless", lambda: FiniteGraph.from_edges(3, []), 9, 21, 30,
+     "8ae7c30777f639e154e4df7ddbbb1a720026e345f10bc4c6e378db15d2bedee9"),
 ]
 
 

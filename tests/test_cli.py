@@ -114,6 +114,15 @@ def test_verify_truncated_file_malformed(tower_file, tmp_path, capsys):
     assert code == EXIT_MALFORMED
 
 
+def test_verify_oversized_level_malformed(tmp_path, capsys):
+    # one level of 10^7 vertices declares about 11.4 TiB of packed rows
+    path = tmp_path / "huge.json"
+    path.write_text('{"n":1,"seed":0,"levels":[{"v":10000000,"edges":[]}],"bonds":[],"per_level_m":[]}')
+    code, _, err = run(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_MALFORMED
+    assert "malformed input" in err and "Traceback" not in err
+
+
 def test_build_exhaustion_exit_code(tmp_path, capsys):
     code, _, err = run(
         [
@@ -210,6 +219,9 @@ def test_realize_malformed_payload(tower_file, tmp_path, capsys):
     payload.write_text('{"constraints":[{"bit":2,"level":0,"vertex":0}]}')
     assert run(["realize", "--in", tower_file, "--type", str(payload)], capsys)[0] == EXIT_MALFORMED
     payload.write_text("{")
+    assert run(["realize", "--in", tower_file, "--type", str(payload)], capsys)[0] == EXIT_MALFORMED
+    # 1.0 == 1, but a bit must be an integer like level and vertex
+    payload.write_text('{"constraints":[{"bit":1.0,"level":0,"vertex":0}]}')
     assert run(["realize", "--in", tower_file, "--type", str(payload)], capsys)[0] == EXIT_MALFORMED
 
 
