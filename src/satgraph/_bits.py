@@ -8,6 +8,9 @@ operations.
 
 from __future__ import annotations
 
+import os
+from typing import Iterable
+
 import numpy as np
 
 WORD = 64
@@ -16,6 +19,24 @@ _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 def word_count(nbits: int) -> int:
     return (nbits + WORD - 1) // WORD
+
+
+def require_packed_fits(
+    vertex_counts: Iterable[int], error: type[ValueError] = ValueError
+) -> None:
+    """Raise ``error`` when packed rows for graphs of these sizes exceed physical memory.
+
+    Callers check before they allocate, so an impossible size fails at once
+    with a message instead of numpy's allocation error.  Physical memory is
+    ``SC_PHYS_PAGES * SC_PAGE_SIZE`` from ``os.sysconf``.
+    """
+    packed_bytes = sum(v * word_count(v) * 8 for v in vertex_counts)
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if packed_bytes > physical:
+        raise error(
+            f"{packed_bytes / 2**30:.1f} GiB of packed rows is more than the "
+            f"{physical / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def full_row(nbits: int) -> np.ndarray:

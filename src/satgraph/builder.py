@@ -128,6 +128,7 @@ def sample_product_graph(base: FiniteGraph, m: int, seed: SeedLike) -> FiniteGra
     k = base.vertex_count
     copies = m + 1
     v = k * copies
+    _bits.require_packed_fits([v])
     w = _bits.word_count(v)
     packed = np.zeros((v, w), dtype=np.uint64)
     base_bits = _bits.unpack_rows(base.packed_rows, k).astype(bool)

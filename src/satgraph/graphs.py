@@ -87,6 +87,7 @@ class FiniteGraph:
     def complete(cls, n: int) -> "FiniteGraph":
         if n < 1:
             raise ValueError("complete graph needs at least one vertex")
+        _bits.require_packed_fits([n])
         packed = np.tile(_bits.full_row(n), (n, 1))
         return cls(n, packed, validate=False)
 

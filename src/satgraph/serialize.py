@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from typing import IO, Any
 
 import numpy as np
 
-from ._bits import word_count
+from ._bits import require_packed_fits
 from .graphs import FiniteGraph
 from .towers import MAX_SEED, Tower
 
@@ -57,6 +56,7 @@ def _graph_vertex_count(obj: Any) -> int:
 
 def graph_from_obj(obj: Any) -> FiniteGraph:
     v = _graph_vertex_count(obj)
+    require_packed_fits([v], FormatError)
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise FormatError("edges must be a list")
@@ -139,13 +139,7 @@ def tower_from_obj(obj: Any) -> Tower:
     # the recipe and the bonds are checked from each level's v alone, so a
     # malformed tower is rejected before any edge list is decoded
     sizes = [_graph_vertex_count(g) for g in levels_obj]
-    packed_bytes = sum(v * word_count(v) * 8 for v in sizes)
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if packed_bytes > physical:
-        raise FormatError(
-            f"levels need {packed_bytes / 2**30:.1f} GiB of packed rows, "
-            f"more than the {physical / 2**30:.1f} GiB of physical memory"
-        )
+    require_packed_fits(sizes, FormatError)
     per_level_m = []
     for m in ms_obj:
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:

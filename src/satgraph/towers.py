@@ -21,13 +21,18 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import _bits
-from .builder import build_extension, check_product_lifting
+from .builder import (
+    AttemptsExhausted, attempt_seed, build_extension, check_product_lifting, sample_product_graph
+)
 from .graphs import FiniteGraph, TypeSpec, find_realizer, is_n_saturated
 from .morphisms import GraphMap
 
 
 # Tower seeds are 64-bit unsigned integers; the file format holds no others.
 MAX_SEED = 2**64 - 1
+
+# Attempts per step that :func:`matches_seed` draws before giving up.
+REPLAY_ATTEMPTS = 4096
 
 
 class TooManyConstraints(ValueError):
@@ -134,6 +139,33 @@ def level_build_seed(tower_seed: int, step: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def matches_seed(t: Tower) -> bool:
+    """Whether every stored level is the sample its seed accepts over the level below.
+
+    Precondition: ``t`` has passed :func:`verify_tower`, so every level
+    above 0 is known to be n-saturated.  Step d replays build's attempts
+    over the stored level d, which equals its own replay by induction.  A
+    sample equal to the stored level d+1 needs only build's repeats-allowed
+    lifting check to be accepted; any other sample that build accepts means
+    the tower is not the seed's.  Raises :class:`AttemptsExhausted` when
+    ``REPLAY_ATTEMPTS`` attempts accept nothing.
+    """
+    for d, m in enumerate(t.per_level_m):
+        base, stored = t.levels[d], t.levels[d + 1]
+        seed = level_build_seed(t.seed, d)
+        for attempt in range(REPLAY_ATTEMPTS):
+            g = sample_product_graph(base, m, attempt_seed(seed, attempt))
+            same = g == stored  # then saturated, as verify_tower has checked
+            saturated = same or is_n_saturated(g, t.n).holds
+            if saturated and check_product_lifting(g, base, m, t.n).holds:
+                if not same:
+                    return False
+                break
+        else:
+            raise AttemptsExhausted(REPLAY_ATTEMPTS, m)
+    return True
+
+
 def new_tower(n: int, seed: int) -> Tower:
     """Depth-0 tower holding only the complete graph on n vertices."""
     if n < 1:
@@ -156,16 +188,6 @@ def extend_tower(t: Tower, m: Optional[int] = None, max_attempts: int = 64) -> T
     graph, _ = build_extension(t.n, top, level_build_seed(t.seed, t.depth), m, max_attempts)
     m = graph.vertex_count // top.vertex_count - 1
     return Tower(t.n, t.seed, t.levels + (graph,), t.per_level_m + (m,))
-
-
-def rebuild_tower(
-    n: int, seed: int, per_level_m: Sequence[int], max_attempts: int = 4096
-) -> Tower:
-    """Deterministically replay a tower from its seed and recorded copy counts."""
-    t = new_tower(n, seed)
-    for m in per_level_m:
-        t = extend_tower(t, int(m), max_attempts)
-    return t
 
 
 # -- verification ---------------------------------------------------------------

@@ -246,6 +246,12 @@ def test_sample_rejects_m_zero():
         sample_product_graph(K2, 0, seed=1)
 
 
+def test_sample_rejects_size_beyond_physical_memory():
+    # 10^7 vertices need about 11.4 TiB of packed rows
+    with pytest.raises(ValueError, match="physical memory"):
+        sample_product_graph(K2, 5_000_000 - 1, seed=1)
+
+
 # -- fiber lifting check -----------------------------------------------------------
 
 

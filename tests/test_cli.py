@@ -1,7 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from satgraph.builder import attempt_seed, sample_product_graph
 from satgraph.cli import (
     EXIT_EXHAUSTED,
     EXIT_MALFORMED,
@@ -11,9 +19,11 @@ from satgraph.cli import (
     main,
 )
 from satgraph.serialize import encode_tower, load_tower
-from satgraph.towers import Tower, extend_tower, new_tower
+from satgraph.towers import Tower, extend_tower, level_build_seed, new_tower
 from satgraph.graphs import FiniteGraph
-from satgraph import cli, serialize
+from satgraph import builder, cli, serialize, towers
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(args, capsys):
@@ -97,6 +107,82 @@ def test_verify_catches_reseeded_tower(tower_file, tmp_path, capsys):
     assert "ok seed-reconstruction" not in out
 
 
+def test_verify_rejects_sample_build_rejects(tmp_path, capsys):
+    # attempt 0 of step 0 is 3-saturated and passes the distinct-bases lifting
+    # form that verify_tower checks, but fails build's repeats-allowed form, so
+    # the seed builds a later attempt instead
+    k3 = FiniteGraph.complete(3)
+    g = sample_product_graph(k3, 27, attempt_seed(level_build_seed(0, 0), 0))
+    path = tmp_path / "rejected.json"
+    serialize.save_tower(Tower(3, 0, (k3, g), (27,)), str(path))
+    code, out, _ = run(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_VERIFY
+    assert "ok lifting[bond 0]" in out
+    assert "stored tower differs from its seeded reconstruction" in out
+    assert "ok seed-reconstruction" not in out
+
+
+def test_verify_reconstruction_exhausted(tower_file, capsys, monkeypatch):
+    def edgeless(base, m, seed):
+        return FiniteGraph.from_edges(base.vertex_count * (m + 1), [])
+
+    monkeypatch.setattr(builder, "sample_product_graph", edgeless)
+    monkeypatch.setattr(towers, "sample_product_graph", edgeless, raising=False)
+    code, out, _ = run(["verify", "--in", tower_file], capsys)
+    assert code == EXIT_VERIFY
+    assert "seeded reconstruction did not terminate" in out
+    assert "ok seed-reconstruction" not in out
+
+
+def test_verify_scans_each_level_once(tower_file, capsys, monkeypatch):
+    scans, liftings = Counter(), Counter()
+
+    def digest(g):
+        return hashlib.sha256(g.packed_rows.tobytes()).hexdigest()
+
+    def wrap(module, name):
+        real = getattr(module, name)
+
+        def counted(g, *args, **kwargs):
+            if name == "is_n_saturated":
+                scans[digest(g)] += 1
+            else:
+                distinct = kwargs.get("distinct_bases", args[3] if len(args) > 3 else False)
+                liftings[digest(g), distinct] += 1
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (builder, towers):
+        wrap(module, "is_n_saturated")
+        wrap(module, "check_product_lifting")
+    code, out, _ = run(["verify", "--in", tower_file], capsys)
+    assert code == EXIT_OK and "tower verified" in out
+    for level in load_tower(tower_file).levels[1:]:
+        assert scans[digest(level)] == 1
+        assert liftings[digest(level), True] == 1
+        assert liftings[digest(level), False] == 1
+
+
+def test_cli_runs_as_a_process(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def satgraph(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "satgraph", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    path = tmp_path / "t.json"
+    built = satgraph("build", "--n", "2", "--depth", "1", "--seed", "3", "--out", str(path))
+    assert built.returncode == EXIT_OK, built.stderr
+    verified = satgraph("verify", "--in", str(path))
+    assert verified.returncode == EXIT_OK, verified.stderr
+    assert "tower verified" in verified.stdout
+    missing = satgraph("verify", "--in", str(tmp_path / "missing.json"))
+    assert missing.returncode == EXIT_MALFORMED
+
+
 def test_verify_relabelled_top_level_malformed(tower_file, tmp_path, capsys, relabel_top_level):
     with open(tower_file) as fp:
         relabelled = relabel_top_level(json.load(fp))
@@ -121,6 +207,25 @@ def test_verify_oversized_level_malformed(tmp_path, capsys):
     code, _, err = run(["verify", "--in", str(path)], capsys)
     assert code == EXIT_MALFORMED
     assert "malformed input" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["build", "--n", "10000000", "--depth", "0", "--out", "x.json"],
+        ["stats", "--n", "2", "--k", "10000000", "--m-from", "1", "--m-to", "1", "--trials", "1"],
+    ],
+    ids=["build", "stats"],
+)
+def test_oversized_size_usage_error(args, tmp_path, capsys, monkeypatch):
+    # a complete graph on 10^7 vertices needs about 11.4 TiB of packed rows
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, _, err = run(args, capsys)
+    assert time.perf_counter() - start < 10
+    assert code == EXIT_USAGE
+    assert "usage error" in err and "physical memory" in err and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_build_exhaustion_exit_code(tmp_path, capsys):

@@ -51,6 +51,7 @@ def test_graph_decode_rejects_malformed():
         '{"v":0,"edges":[]}',
         '{"v":3,"edges":[[0,1]],"extra":1}',
         '{"v":true,"edges":[]}',
+        '{"v":10000000,"edges":[]}',  # about 11.4 TiB of packed rows
     ]:
         with pytest.raises(FormatError):
             decode_graph(bad)

@@ -16,11 +16,11 @@ from satgraph.towers import (
     check_realization,
     extend_realizer,
     extend_tower,
+    matches_seed,
     new_tower,
     project,
     random_thread,
     realize_type,
-    rebuild_tower,
     validate_prefix,
     verify_tower,
 )
@@ -93,9 +93,10 @@ def test_staged_and_direct_growth_agree(t2):
     assert staged == t2
 
 
-def test_rebuild_matches(t2):
-    replay = rebuild_tower(2, 42, t2.per_level_m)
-    assert replay == t2
+def test_matches_seed(t2):
+    assert matches_seed(t2)
+    # the same levels under another seed pass verify_tower but are not its build
+    assert not matches_seed(Tower(2, 43, t2.levels, t2.per_level_m))
 
 
 def test_verify_catches_deleted_edge(t2_small):
