@@ -14,6 +14,7 @@ accepted sample is re-verified exhaustively, so a caller-chosen
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Union
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import _bits
 from .graphs import FiniteGraph, is_n_saturated, is_weakly_n_saturated
-from .morphisms import LiftingReport
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -172,6 +172,23 @@ def _symmetrize_in_place(packed: np.ndarray, v: int) -> None:
 
 
 # -- fiber lifting verification -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LiftingReport:
+    """Outcome of a fiber-lifting check.
+
+    On failure, ``counterexample`` is a pair (base vertex, product vertices):
+    no vertex of the base vertex's fiber is adjacent to all of the listed
+    product vertices, which is directly re-checkable.
+    """
+
+    holds: bool
+    counterexample: Optional[tuple[int, tuple[int, ...]]] = None
+
+    def __bool__(self) -> bool:
+        return self.holds
+
 
 # One block product of the tuple check materializes at most _PRODUCT_ROWS b
 # rows and at most _PRODUCT_BLOCK float32 count entries (4 MiB).  The row cap

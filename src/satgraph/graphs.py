@@ -472,6 +472,15 @@ def _missing_type(g: FiniteGraph, n: int, ones_only: bool):
     return _missing_type_planes(g, n, ones_only)
 
 
+def _saturation(g: FiniteGraph, n: int, ones_only: bool) -> SaturationReport:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n == 1:
+        return SaturationReport(True)
+    missing = _missing_type(g, n, ones_only)
+    return SaturationReport(missing is None, missing)
+
+
 def is_n_saturated(g: FiniteGraph, n: int) -> SaturationReport:
     """Exhaustively decide whether every type over every < n vertices is realized.
 
@@ -479,14 +488,7 @@ def is_n_saturated(g: FiniteGraph, n: int) -> SaturationReport:
     are enumerated: a type over a smaller set extends to one over a superset
     of size n-1, and any realizer of the extension realizes the restriction.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n == 1:
-        return SaturationReport(True)
-    missing = _missing_type(g, n, ones_only=False)
-    if missing is None:
-        return SaturationReport(True)
-    return SaturationReport(False, missing)
+    return _saturation(g, n, ones_only=False)
 
 
 def is_weakly_n_saturated(g: FiniteGraph, n: int) -> SaturationReport:
@@ -495,14 +497,7 @@ def is_weakly_n_saturated(g: FiniteGraph, n: int) -> SaturationReport:
     The witness is required to lie outside the subset, the stronger reading
     that the randomized construction actually relies on.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n == 1:
-        return SaturationReport(True)
-    missing = _missing_type(g, n, ones_only=True)
-    if missing is None:
-        return SaturationReport(True)
-    return SaturationReport(False, missing)
+    return _saturation(g, n, ones_only=True)
 
 
 def oracle_is_n_saturated(g: FiniteGraph, n: int) -> bool:

@@ -15,7 +15,7 @@ depth".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +25,6 @@ from .builder import (
     AttemptsExhausted, attempt_seed, build_extension, check_product_lifting, sample_product_graph
 )
 from .graphs import FiniteGraph, TypeSpec, find_realizer, is_n_saturated
-from .morphisms import GraphMap
 
 
 # Tower seeds are 64-bit unsigned integers; the file format holds no others.
@@ -96,6 +95,35 @@ class RealizerHandle:
     negative: tuple[ThreadPrefix, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class GraphMap:
+    """A total vertex map between two finite graphs: ``image[v]`` is the target of v."""
+
+    source: FiniteGraph
+    target: FiniteGraph
+    image: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        img = np.ascontiguousarray(self.image, dtype=np.int64)
+        if img.shape != (self.source.vertex_count,):
+            raise ValueError("image must assign every source vertex")
+        if img.size and (img.min() < 0 or img.max() >= self.target.vertex_count):
+            raise ValueError("image value out of target range")
+        img.flags.writeable = False
+        object.__setattr__(self, "image", img)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GraphMap):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and np.array_equal(self.image, other.image)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 @dataclass(frozen=True)
 class Tower:
     """Levels G_0..G_D and per-step copy counts.
@@ -116,7 +144,11 @@ class Tower:
 
     @property
     def bonds(self) -> tuple[GraphMap, ...]:
-        """The bonds as explicit maps, derived from ``per_level_m`` on each access."""
+        """The bonds as explicit maps, derived from ``per_level_m`` on each access.
+
+        Nothing in the library reads this; it stays because the benchmark
+        harness reads each bond's ``image`` and ``len`` of the tuple.
+        """
         return tuple(
             GraphMap(hi, lo, np.arange(hi.vertex_count) // (m + 1))
             for lo, hi, m in zip(self.levels, self.levels[1:], self.per_level_m)
@@ -278,7 +310,9 @@ def verify_tower(t: Tower) -> TowerReport:
         return failed("structure", "levels and per_level_m lengths disagree")
     if t.n < 1:
         return failed("structure", "n must be positive")
-    if t.levels[0] != FiniteGraph.complete(t.n):
+    # compare sizes first: a declared n far above the stored level 0 must not
+    # allocate its complete graph just to report the mismatch
+    if t.levels[0].vertex_count != t.n or t.levels[0] != FiniteGraph.complete(t.n):
         return failed("structure", "level 0 must be the complete graph on n vertices")
     for d, m in enumerate(t.per_level_m):
         if m < 1:

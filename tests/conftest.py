@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from satgraph.graphs import FiniteGraph
-from satgraph.morphisms import GraphMap
-from satgraph.towers import Tower, extend_tower, new_tower
+from satgraph.towers import GraphMap, Tower, extend_tower, new_tower
 
 
 def division_map(g: FiniteGraph, base: FiniteGraph, m: int) -> GraphMap:

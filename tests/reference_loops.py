@@ -1,9 +1,17 @@
-"""Per-pair loop versions of the saturation scan and the product lifting check.
+"""Reference implementations the tests compare the library against.
 
-These are the loops the library ran before its n >= 4 saturation scan and
-its lifting tuple check became block products over the (b, c) plane.  They
-stay here as references: the tests require the library to report exactly
-the counterexamples these report.
+The per-pair loop versions of the saturation scan and the product lifting
+check are the loops the library ran before its n >= 4 saturation scan and
+its lifting tuple check became block products over the (b, c) plane: the
+tests require the library to report exactly the counterexamples these
+report.
+
+The generic graph-map oracles decide, for an arbitrary vertex map, whether
+it is a homomorphism, strict, surjective or a quotient map, compose maps,
+and check the fiber-lifting property by literal enumeration over the
+fibers.  The library only ever builds division bonds ``v -> v // (m+1)``
+and checks them with structured tests; these oracles cross-check those
+tests on small instances.
 """
 
 import itertools
@@ -11,7 +19,9 @@ import itertools
 import numpy as np
 
 from satgraph import _bits
+from satgraph.builder import LiftingReport
 from satgraph.graphs import FiniteGraph, TypeSpec
+from satgraph.towers import GraphMap
 
 
 def scan_missing_type(g: FiniteGraph, n: int, ones_only: bool):
@@ -111,3 +121,105 @@ def product_lifting_loops(g: FiniteGraph, base: FiniteGraph, m: int, n: int, dis
                     if cand == 0:
                         return i, tuple(int(tcols[t]) for t in sub)
     return None
+
+
+# -- generic graph-map oracles ------------------------------------------------
+
+
+def identity_map(g: FiniteGraph) -> GraphMap:
+    return GraphMap(g, g, np.arange(g.vertex_count))
+
+
+def constant_map(source: FiniteGraph, target: FiniteGraph, value: int = 0) -> GraphMap:
+    return GraphMap(source, target, np.full(source.vertex_count, value))
+
+
+def fibers(h: GraphMap) -> list[list[int]]:
+    """The preimage of every target vertex, in ascending order."""
+    out: list[list[int]] = [[] for _ in range(h.target.vertex_count)]
+    for u, p in enumerate(h.image):
+        out[int(p)].append(u)
+    return out
+
+
+def is_homomorphism(h: GraphMap) -> bool:
+    """Every source edge maps onto a target edge (loops absorb collapses)."""
+    src, tgt, img = h.source, h.target, h.image
+    v = src.vertex_count
+    chunk = max(1, (1 << 22) // max(1, v))
+    for r0 in range(0, v, chunk):
+        r1 = min(v, r0 + chunk)
+        block = _bits.unpack_rows(src.packed_rows[r0:r1], v)
+        for local, u in enumerate(range(r0, r1)):
+            nbrs = np.nonzero(block[local])[0]
+            hu = int(img[u])
+            hn = img[nbrs]
+            bits = (tgt.packed_rows[hu, hn >> 6] >> (hn & 63).astype(np.uint64)) & np.uint64(1)
+            if not bits.all():
+                return False
+    return True
+
+
+def is_strict(h: GraphMap) -> bool:
+    """Every target edge between image points pulls back to a source edge."""
+    fibs = fibers(h)
+    fiber_masks = [sum(1 << u for u in fib) for fib in fibs]
+    tgt = h.target
+    for p in range(tgt.vertex_count):
+        if not fibs[p]:
+            continue
+        for q in range(p + 1, tgt.vertex_count):
+            if not fibs[q] or not tgt.adjacent(p, q):
+                continue
+            mask_q = fiber_masks[q]
+            if not any(h.source.neighbors_mask(a) & mask_q for a in fibs[p]):
+                return False
+    return True
+
+
+def is_surjective(h: GraphMap) -> bool:
+    return bool(np.all(np.bincount(h.image, minlength=h.target.vertex_count) > 0))
+
+
+def is_quotient_map(h: GraphMap) -> bool:
+    return is_surjective(h) and is_homomorphism(h) and is_strict(h)
+
+
+def compose(outer: GraphMap, inner: GraphMap) -> GraphMap:
+    """The map v -> outer(inner(v)); inner's target must be outer's source."""
+    if inner.target is not outer.source and inner.target != outer.source:
+        raise ValueError("inner.target must equal outer.source")
+    return GraphMap(inner.source, outer.target, outer.image[inner.image])
+
+
+def check_lifting_property(h: GraphMap, n: int) -> LiftingReport:
+    """Verify the quotient map h lifts common-neighbour configurations.
+
+    For every target vertex v, every set of up to n-1 distinct neighbours
+    of v, and every choice of preimages of those neighbours, some preimage
+    of v must be adjacent to all the chosen preimages.  Enumeration order
+    (v ascending, tuple length ascending, subsets and preimage choices
+    lexicographic) makes the reported counterexample deterministic.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not is_quotient_map(h):
+        raise ValueError("lifting check expects a quotient map")
+    src, tgt = h.source, h.target
+    fibs = fibers(h)
+    fiber_masks = [sum(1 << u for u in fib) for fib in fibs]
+    src_masks = [src.neighbors_mask(u) for u in range(src.vertex_count)]
+    for v in range(tgt.vertex_count):
+        nbrs = [w for w in range(tgt.vertex_count) if tgt.adjacent(v, w)]
+        base_mask = fiber_masks[v]
+        for k in range(1, n):
+            for subset in itertools.combinations(nbrs, k):
+                for pre in itertools.product(*(fibs[w] for w in subset)):
+                    cand = base_mask
+                    for u in pre:
+                        cand &= src_masks[u]
+                        if cand == 0:
+                            break
+                    if cand == 0:
+                        return LiftingReport(False, (v, tuple(pre)))
+    return LiftingReport(True)

@@ -26,7 +26,6 @@ from satgraph.graphs import (
     oracle_is_n_saturated,
     random_graph,
 )
-from satgraph.morphisms import is_quotient_map
 from satgraph.serialize import decode_tower, encode_tower, load_tower, save_tower
 from satgraph.towers import (
     Tower,
@@ -37,6 +36,7 @@ from satgraph.towers import (
 )
 
 from conftest import division_map
+from reference_loops import is_quotient_map
 
 
 def report(num: int, ok: bool, detail: str) -> None:

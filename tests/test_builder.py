@@ -23,11 +23,10 @@ from satgraph.builder import (
     saturation_failure_bound,
 )
 from satgraph.graphs import FiniteGraph, is_n_saturated, random_graph
-from satgraph.morphisms import is_quotient_map
 from satgraph.towers import extend_tower, new_tower
 
 from conftest import division_map, orthogonal_fibers
-from reference_loops import product_lifting_loops
+from reference_loops import is_quotient_map, product_lifting_loops
 
 K1 = FiniteGraph.complete(1)
 K2 = FiniteGraph.complete(2)

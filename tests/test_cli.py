@@ -209,6 +209,44 @@ def test_verify_oversized_level_malformed(tmp_path, capsys):
     assert "malformed input" in err and "Traceback" not in err
 
 
+_WRONG_N = '{{"n":{n},"seed":0,"levels":[{{"v":2,"edges":[[0,1]]}}],"bonds":[],"per_level_m":[]}}'
+
+# VmHWM, not ru_maxrss: Linux carries the spawning process's peak over into a
+# child's ru_maxrss, so under a long pytest run that would read pytest's peak
+_VERIFY_PEAK_PROBE = """
+import sys
+from satgraph.cli import main
+code = main(["verify", "--in", sys.argv[1]])
+with open("/proc/self/status") as fp:
+    print(code, fp.read().split("VmHWM:")[1].split()[0])
+"""
+
+
+def test_verify_declared_n_above_level0_is_a_verification_failure(tmp_path, capsys):
+    # the complete graph on 10^7 vertices would need about 11.4 TiB of packed rows
+    path = tmp_path / "n.json"
+    path.write_text(_WRONG_N.format(n=10_000_000))
+    code, out, err = run(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_VERIFY, err
+    assert "level 0 must be the complete graph" in out
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_verify_declared_n_above_level0_stays_small(tmp_path):
+    # K_60000 is 429 MiB of packed rows; the 2-vertex level 0 tells the mismatch alone
+    path = tmp_path / "n.json"
+    path.write_text(_WRONG_N.format(n=60_000))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_PEAK_PROBE, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split()[-2:])
+    assert code == EXIT_VERIFY
+    assert peak_kib < 100 * 1024, peak_kib / 1024
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,19 +1,24 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from satgraph.builder import check_product_lifting, sample_product_graph
 from satgraph.graphs import FiniteGraph, random_graph
-from satgraph.morphisms import (
-    GraphMap,
+from satgraph.towers import GraphMap
+
+from conftest import division_map, orthogonal_fibers
+from reference_loops import (
     check_lifting_property,
     compose,
+    constant_map,
+    identity_map,
     is_homomorphism,
     is_quotient_map,
     is_strict,
     is_surjective,
 )
-
-from conftest import division_map, orthogonal_fibers
 
 
 def edgeless(n):
@@ -21,12 +26,12 @@ def edgeless(n):
 
 
 def test_identity_is_quotient():
-    h = GraphMap.identity(FiniteGraph.cycle(5))
+    h = identity_map(FiniteGraph.cycle(5))
     assert is_homomorphism(h) and is_strict(h) and is_quotient_map(h)
 
 
 def test_constant_map_is_homomorphism():
-    h = GraphMap.constant(FiniteGraph.cycle(5), FiniteGraph.complete(1))
+    h = constant_map(FiniteGraph.cycle(5), FiniteGraph.complete(1))
     assert is_homomorphism(h)
     assert is_quotient_map(h)
 
@@ -64,14 +69,14 @@ def test_graphmap_validates_image():
 def test_compose_identity_and_constant():
     g = FiniteGraph.cycle(5)
     h = GraphMap(g, FiniteGraph.complete(2), np.array([0, 1, 0, 1, 0]))
-    assert compose(GraphMap.identity(FiniteGraph.complete(2)), h) == h
-    const = GraphMap.constant(FiniteGraph.complete(2), FiniteGraph.complete(1))
-    assert compose(const, h) == GraphMap.constant(g, FiniteGraph.complete(1))
+    assert compose(identity_map(FiniteGraph.complete(2)), h) == h
+    const = constant_map(FiniteGraph.complete(2), FiniteGraph.complete(1))
+    assert compose(const, h) == constant_map(g, FiniteGraph.complete(1))
 
 
 def test_compose_requires_matching_middle():
-    a = GraphMap.identity(FiniteGraph.complete(2))
-    b = GraphMap.identity(FiniteGraph.complete(3))
+    a = identity_map(FiniteGraph.complete(2))
+    b = identity_map(FiniteGraph.complete(3))
     with pytest.raises(ValueError):
         compose(a, b)
 
@@ -109,10 +114,10 @@ def test_nonadjacent_images_pull_back_to_nonadjacent():
 
 def test_lifting_identity_and_vacuous():
     g = FiniteGraph.cycle(5)
-    ident = GraphMap.identity(g)
+    ident = identity_map(g)
     assert check_lifting_property(ident, 4).holds
     h = GraphMap(FiniteGraph.complete(2), edgeless(2), np.array([0, 1]))
-    assert check_lifting_property(GraphMap.constant(g, FiniteGraph.complete(1)), 1).holds
+    assert check_lifting_property(constant_map(g, FiniteGraph.complete(1)), 1).holds
 
 
 def test_lifting_requires_quotient_map():
@@ -156,3 +161,14 @@ def test_lifting_matches_product_check_on_small_instances():
             holds.append(structured.holds)
         verdicts.add(tuple(holds))
     assert (True, True, True, False) in verdicts
+
+
+def test_package_exports_resolve_and_library_map_module_is_gone():
+    import satgraph
+
+    for name in satgraph.__all__:
+        assert getattr(satgraph, name) is not None, name
+    # the oracles above once lived in a library module named like this file
+    gone = "satgraph." + Path(__file__).stem.removeprefix("test_")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(gone)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from satgraph.graphs import FiniteGraph
-from satgraph.morphisms import GraphMap, is_quotient_map
 from satgraph.serialize import (
     FormatError,
     decode_graph,
@@ -16,8 +15,10 @@ from satgraph.serialize import (
     load_tower,
     save_tower,
 )
-from satgraph.towers import extend_tower, new_tower, verify_tower
+from satgraph.towers import GraphMap, extend_tower, new_tower, verify_tower
 from satgraph import serialize
+
+from reference_loops import is_quotient_map
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,6 @@ import pytest
 
 from satgraph.builder import minimal_certified_m
 from satgraph.graphs import FiniteGraph, TypeSpec, find_realizer, is_weakly_n_saturated
-from satgraph.morphisms import compose, is_quotient_map
 from satgraph.towers import (
     AdjacencyStatus,
     NotSeparated,
@@ -24,6 +23,8 @@ from satgraph.towers import (
     validate_prefix,
     verify_tower,
 )
+
+from reference_loops import compose, is_quotient_map
 
 
 @pytest.fixture(scope="module")
