@@ -22,11 +22,12 @@ from . import _bits
 class FiniteGraph:
     """Immutable finite graph with loops on every vertex.
 
-    Instances are safe to share between threads; all derived data
-    (complement rows, popcounts) is cached on first use.
+    Instances are safe to share between threads.  The packed rows are the
+    only matrix an instance holds; the row popcounts are cached on first
+    use.
     """
 
-    __slots__ = ("vertex_count", "_packed", "_complement", "_noloop", "_popcounts")
+    __slots__ = ("vertex_count", "_packed", "_popcounts")
 
     def __init__(self, vertex_count: int, packed: np.ndarray, validate: bool = True):
         if vertex_count < 1:
@@ -38,8 +39,6 @@ class FiniteGraph:
         self.vertex_count = vertex_count
         self._packed = packed
         self._packed.flags.writeable = False
-        self._complement = None
-        self._noloop = None
         self._popcounts = None
         if validate:
             self._validate()
@@ -131,22 +130,6 @@ class FiniteGraph:
     @property
     def packed_rows(self) -> np.ndarray:
         return self._packed
-
-    def packed_complement(self) -> np.ndarray:
-        if self._complement is None:
-            comp = _bits.complement_rows(self._packed, self.vertex_count)
-            comp.flags.writeable = False
-            self._complement = comp
-        return self._complement
-
-    def packed_rows_noloop(self) -> np.ndarray:
-        if self._noloop is None:
-            rows = self._packed.copy()
-            idx = np.arange(self.vertex_count)
-            rows[idx, idx >> 6] &= ~(np.uint64(1) << (idx & 63).astype(np.uint64))
-            rows.flags.writeable = False
-            self._noloop = rows
-        return self._noloop
 
     def row_popcounts(self) -> np.ndarray:
         if self._popcounts is None:
@@ -302,6 +285,13 @@ def find_realizer(g: FiniteGraph, f: TypeLike) -> Optional[int]:
 _PRODUCT_BLOCK = 1 << 17
 _ROWS_BLOCK = 1 << 20
 
+# The n = 3 scan screens every pair on this many columns spread over the
+# vertex range, and re-checks the pairs its screen misses at full width in
+# blocks of at most _FALLBACK_WORDS words (1 MiB) of rows.
+_SCREEN_COLUMNS = 128
+_FALLBACK_WORDS = 1 << 17
+_ONE = np.uint64(1)
+
 
 def _missing_type_small(g: FiniteGraph, n: int, ones_only: bool):
     # vertex_count < n-1: every subset size below n is in play, including all
@@ -339,35 +329,95 @@ def _missing_type_singletons(g: FiniteGraph, ones_only: bool):
 
 
 def _missing_type_pairs(g: FiniteGraph, ones_only: bool):
-    # n == 3: subsets {a, c} with a < c; for each bit of a, the c coordinate
-    # is one vectorized pass.  Smallest failing (A, f) is returned.
+    # n == 3: subsets {a, c} with a < c, scanned in the order (a, c, bit of
+    # a, sign of c); the smallest failing (A, f) is returned.
     #
-    # A candidate-set intersection is almost never empty on graphs this
-    # machinery targets, so each pass first screens only the leading words
-    # of every row and re-checks the full width where the screen came up
-    # empty; this cuts memory traffic by the screen-to-width ratio without
-    # affecting the verdict.
+    # A type over a pair almost always has a realizer among a few columns
+    # spread over the whole vertex range, so each (a, bit, sign) first
+    # screens every c > a on those columns alone: one AND and one OR per
+    # screen word over contiguous vertices.  Only the c whose screen comes
+    # up empty are re-checked at full width, which keeps the verdict exact.
     v = g.vertex_count
-    rpos = g.packed_rows_noloop()
-    plans = ((1, rpos),) if ones_only else ((0, g.packed_complement()), (1, rpos))
-    screen = min(4, rpos.shape[1])
+    rows = g.packed_rows
+    full = _bits.full_row(v)
+    screens = _screen_words(g)
+    signs = (1,) if ones_only else (0, 1)
+    hits = np.empty(v, dtype=np.uint64)
+    word = np.empty(v, dtype=np.uint64)
     for a in range(v - 1):
+        n = v - a - 1
         best = None
-        for bit, cands in plans:
-            cand = cands[a]
-            for sign, mat in plans:
-                maybe = ~(mat[a + 1 :, :screen] & cand[:screen]).any(axis=1)
-                if maybe.any():
-                    suspects = a + 1 + np.nonzero(maybe)[0]
-                    ok = (mat[suspects] & cand).any(axis=1)
-                    if not ok.all():
-                        key = (int(suspects[int(np.argmin(ok))]), bit, sign)
-                        if best is None or key < best:
-                            best = key
+        for bit in signs:
+            cand = screens[bit][:, a]
+            for sign in signs:
+                screen = screens[sign][:, a + 1 :]
+                np.bitwise_and(screen[0], cand[0], out=hits[:n])
+                for w in range(1, len(cand)):
+                    np.bitwise_and(screen[w], cand[w], out=word[:n])
+                    np.bitwise_or(hits[:n], word[:n], out=hits[:n])
+                if hits[:n].all():
+                    continue
+                suspects = a + 1 + np.flatnonzero(hits[:n] == 0)
+                c = _first_unrealized(rows, full, a, bit, suspects, sign)
+                if c is not None and (best is None or (c, bit, sign) < best):
+                    best = (c, bit, sign)
         if best is not None:
             c, bit, sign = best
             return (a, c), TypeSpec(((a, bit), (c, sign)))
     return None
+
+
+def _screen_columns(v: int) -> np.ndarray:
+    """The ``_SCREEN_COLUMNS`` columns the n = 3 scan screens on, or all of them."""
+    if v <= _SCREEN_COLUMNS:
+        return np.arange(v)
+    return np.arange(_SCREEN_COLUMNS) * v // _SCREEN_COLUMNS
+
+
+def _screen_words(g: FiniteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Realizers among the screen columns, word-major [word, vertex], per sign.
+
+    Bit j of word j // 64 of vertex u is set when screen column j realizes
+    sign 0 for u (not adjacent to u) in the first array, sign 1 (adjacent
+    to u, and not u itself) in the second.
+    """
+    rows = g.packed_rows
+    cols = _screen_columns(g.vertex_count)
+    adj = np.zeros((_bits.word_count(len(cols)), g.vertex_count), dtype=np.uint64)
+    for j, col in enumerate(cols):
+        adj[j >> 6] |= ((rows[:, col >> 6] >> np.uint64(col & 63)) & _ONE) << np.uint64(j & 63)
+    non = ~adj & _bits.full_row(len(cols))[:, None]
+    j = np.arange(len(cols))
+    adj[j >> 6, cols] &= ~(_ONE << (j & 63).astype(np.uint64))
+    return non, adj
+
+
+def _first_unrealized(
+    rows: np.ndarray, full: np.ndarray, a: int, bit: int, suspects: np.ndarray, sign: int
+) -> Optional[int]:
+    """Smallest c in ``suspects`` with no realizer of {a: bit, c: sign}, or None.
+
+    Checks the full rows, ``_FALLBACK_WORDS`` words of suspect rows at a time.
+    """
+    cand = _realizer_rows(rows, full, np.array([a]), bit)[0]
+    step = max(1, _FALLBACK_WORDS // len(full))
+    for s0 in range(0, len(suspects), step):
+        block = suspects[s0 : s0 + step]
+        ok = (_realizer_rows(rows, full, block, sign) & cand).any(axis=1)
+        if not ok.all():
+            return int(block[int(np.argmin(ok))])
+    return None
+
+
+def _realizer_rows(rows: np.ndarray, full: np.ndarray, vertices: np.ndarray, sign: int) -> np.ndarray:
+    """Packed realizers of ``sign`` at each of ``vertices``, one row each.
+
+    Sign 1 is the adjacency row with the vertex's own bit cleared, sign 0
+    the non-adjacency row, which never holds the vertex itself.
+    """
+    out = rows[vertices] if sign else ~rows[vertices] & full
+    out[np.arange(len(vertices)), vertices >> 6] &= ~(_ONE << (vertices & 63).astype(np.uint64))
+    return out
 
 
 def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
@@ -378,7 +428,6 @@ def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
     # returned.
     v = g.vertex_count
     rows = g.packed_rows
-    comp = g.packed_complement()
     full = _bits.full_row(v)
     for prefix in itertools.combinations(range(v), n - 3):
         lo = prefix[-1] + 1
@@ -389,7 +438,7 @@ def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
         for bits in assignments:
             cand = full.copy()
             for a, b in zip(prefix, bits):
-                cand &= rows[a] if b else comp[a]
+                cand &= rows[a] if b else ~rows[a] & full
             for a in prefix:
                 _bits.clear_bit_in_row(cand, a)
             found = _first_missing_pair(g, lo, cand, ones_only)

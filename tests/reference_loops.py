@@ -34,9 +34,11 @@ def scan_missing_type(g: FiniteGraph, n: int, ones_only: bool):
     """
     v = g.vertex_count
     rows = g.packed_rows
-    comp = g.packed_complement()
-    rpos = g.packed_rows_noloop()
     full = _bits.full_row(v)
+    comp = rows ^ full
+    rpos = rows.copy()
+    idx = np.arange(v)
+    rpos[idx, idx >> 6] &= ~(np.uint64(1) << (idx & 63).astype(np.uint64))
     screen = min(4, rows.shape[1])
     for prefix in itertools.combinations(range(v), n - 2):
         lo = prefix[-1] + 1 if prefix else 0

@@ -214,19 +214,24 @@ def test_sample_golden_digests(name, base, m, seed, v, digest):
     assert hashlib.sha256(g.packed_rows.tobytes()).hexdigest() == digest
 
 
+# VmHWM, not ru_maxrss: Linux carries the spawning process's peak over into a
+# child's ru_maxrss, so under a long pytest run that would read pytest's peak
 _PEAK_PROBE = """
-import resource
 from satgraph.builder import sample_product_graph
 from satgraph.towers import extend_tower, new_tower
+
+def peak():
+    with open("/proc/self/status") as fp:
+        return int(fp.read().split("VmHWM:")[1].split()[0]) * 1024
+
 base = extend_tower(extend_tower(new_tower(2, seed=7))).levels[2]
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 g = sample_product_graph(base, 109, seed=1)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(g.packed_rows.nbytes, (after - before) * 1024)
+print(g.packed_rows.nbytes, peak() - before)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_sample_peak_memory_stays_near_packed_size():
     # V = 182 * 110 = 20,020 vertices, 47.8 MiB packed; a second matrix would double it
     root = Path(__file__).resolve().parent.parent

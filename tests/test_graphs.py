@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satgraph import graphs
+from satgraph.builder import sample_product_graph
 from satgraph.graphs import (
     FiniteGraph,
     TypeSpec,
@@ -16,6 +21,7 @@ from satgraph.graphs import (
     random_graph,
     realizes,
 )
+from satgraph.towers import extend_tower, new_tower
 
 from reference_loops import scan_missing_type
 
@@ -275,7 +281,7 @@ def test_typespec_normalizes_and_validates():
 
 def test_scan_screen_fallback_beyond_leading_words():
     # hub graph: vertex 270 is the only common neighbour of any two others,
-    # and it sits beyond the 256-bit screening window of the scan
+    # and it is not one of the scan's screen columns
     v = 280
     g = FiniteGraph.from_edges(v, [(i, 270) for i in range(v) if i != 270])
     rep = is_n_saturated(g, 3)
@@ -289,8 +295,9 @@ def test_scan_screen_fallback_beyond_leading_words():
 
 
 def test_weak_scan_on_multiword_graph():
-    # two hubs beyond the screening window: every pair, including a pair
-    # containing one hub, has a common neighbour outside itself
+    # two hubs, 270 off the scan's screen columns and 275 on them: every
+    # pair, including a pair containing one hub, has a common neighbour
+    # outside itself
     v = 280
     edges = [(i, h) for h in (270, 275) for i in range(v) if i != h]
     g = FiniteGraph.from_edges(v, edges)
@@ -460,3 +467,96 @@ def test_n3_scan_catches_removed_only_realizer(pattern):
     assert find_realizer(mutated, f) is None
     assert n3_oracle_counterexample(mutated) == ((a, b), f)
     assert is_n_saturated(mutated, 3).counterexample == ((a, b), f)
+
+
+# -- the n = 3 screen and its full-width fallback on a product level ------------
+
+
+@pytest.fixture(scope="module")
+def n3_product_level():
+    """Adjacency of a 3-saturated sample over level 1 of the n=3 seed-7 tower, V = 360."""
+    g = sample_product_graph(extend_tower(new_tower(3, seed=7)).levels[1], 2, seed=1)
+    assert n3_oracle_counterexample(g) is None
+    return dense_adjacency(g)
+
+
+# Neither vertex is a screen column.  Edge (a, c) is set to the bit of a, so
+# for a sign-1 type c itself would pass for a realizer if the full-width
+# check did not leave it out.
+N3_PAIR = (200, 301)
+
+
+def screen_miss_graph(dense: np.ndarray, pattern: int, keep_outside: bool):
+    """Move the realizers of one type over N3_PAIR to the opposite bit at c.
+
+    With ``keep_outside`` only the realizers on screen columns move, so
+    the type keeps the realizers off the screen and nothing else.
+    """
+    a, c = N3_PAIR
+    bit_a, bit_c = pattern >> 1, pattern & 1
+    dense = dense.copy()
+    dense[a, c] = dense[c, a] = bit_a
+    v = len(dense)
+    outside = np.array([x for x in range(v) if x not in N3_PAIR])
+    realizers = outside[(dense[outside, a] == bit_a) & (dense[outside, c] == bit_c)]
+    if keep_outside:
+        realizers = realizers[np.isin(realizers, graphs._screen_columns(v))]
+    dense[realizers, c] ^= 1
+    dense[c, realizers] ^= 1
+    return FiniteGraph.from_dense(dense), TypeSpec(((a, bit_a), (c, bit_c)))
+
+
+@pytest.mark.parametrize("pattern", range(4))
+def test_n3_fallback_rescues_type_realized_off_screen(pattern, n3_product_level):
+    g, f = screen_miss_graph(n3_product_level, pattern, keep_outside=True)
+    cols = graphs._screen_columns(g.vertex_count)
+    assert len(cols) < g.vertex_count
+    assert not any(realizes(g, int(x), f) for x in cols)
+    assert n3_realizer_counts(g)[pattern, N3_PAIR[0], N3_PAIR[1]] >= 1
+    assert n3_oracle_counterexample(g) is None
+    assert is_n_saturated(g, 3).counterexample is None
+    assert is_weakly_n_saturated(g, 3).holds
+
+
+@pytest.mark.parametrize("pattern", range(4))
+def test_n3_fallback_reports_type_with_no_realizer(pattern, n3_product_level):
+    g, f = screen_miss_graph(n3_product_level, pattern, keep_outside=False)
+    assert find_realizer(g, f) is None
+    assert n3_oracle_counterexample(g) == (N3_PAIR, f)
+    assert is_n_saturated(g, 3).counterexample == (N3_PAIR, f)
+    if pattern == 3:
+        assert is_weakly_n_saturated(g, 3).counterexample == (N3_PAIR, f)
+
+
+# VmHWM, not ru_maxrss: Linux carries the spawning process's peak over into a
+# child's ru_maxrss, so under a long pytest run that would read pytest's peak
+_SCAN_PEAK_PROBE = """
+from satgraph.builder import sample_product_graph
+from satgraph.graphs import is_n_saturated
+from satgraph.towers import extend_tower, new_tower
+
+def peak():
+    with open("/proc/self/status") as fp:
+        return int(fp.read().split("VmHWM:")[1].split()[0]) * 1024
+
+g = sample_product_graph(extend_tower(new_tower(3, seed=7)).levels[1], 81, seed=1)
+before = peak()
+holds = is_n_saturated(g, 3).holds
+print(holds, g.packed_rows.nbytes, peak() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_n3_scan_peak_memory_stays_small():
+    # V = 120 * 82 = 9,840 vertices, 12.1 MB packed; a cached complement and
+    # no-loop copy of the rows would add twice that
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCAN_PEAK_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    holds, packed_bytes, grown = proc.stdout.split()
+    assert holds == "True"  # the scan went over every pair
+    assert int(packed_bytes) == 9840 * 154 * 8
+    assert int(grown) <= 0.25 * int(packed_bytes), (int(grown) / 2**20, int(packed_bytes) / 2**20)
