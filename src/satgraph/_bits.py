@@ -52,6 +52,14 @@ def get_bit(rows: np.ndarray, r: int, c: int) -> int:
     return int((rows[r, c >> 6] >> np.uint64(c & 63)) & np.uint64(1))
 
 
+def set_bits(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
+    """Set bit ``c[i]`` of row ``r[i]`` for every i, in place; repeats are harmless."""
+    words = rows.reshape(-1)  # a view: the rows are C-contiguous
+    np.bitwise_or.at(
+        words, r * rows.shape[1] + (c >> 6), np.uint64(1) << (c & 63).astype(np.uint64)
+    )
+
+
 def clear_bit_in_row(row: np.ndarray, c: int) -> None:
     row[c >> 6] &= np.uint64(~(1 << (c & 63)) & 0xFFFFFFFFFFFFFFFF)
 
@@ -76,10 +84,6 @@ def unpack_rows(rows: np.ndarray, nbits: int) -> np.ndarray:
 
 def row_popcounts(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
-
-
-def complement_rows(rows: np.ndarray, nbits: int) -> np.ndarray:
-    return rows ^ full_row(nbits)
 
 
 def row_to_int(row: np.ndarray) -> int:

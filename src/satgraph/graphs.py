@@ -62,10 +62,10 @@ class FiniteGraph:
                 raise ValueError("edge endpoint out of range")
             if (a == b).any():
                 raise ValueError("loops are implicit; cross edges only")
-            np.bitwise_or.at(packed, (a, (b >> 6)), np.uint64(1) << (b & 63).astype(np.uint64))
-            np.bitwise_or.at(packed, (b, (a >> 6)), np.uint64(1) << (a & 63).astype(np.uint64))
+            _bits.set_bits(packed, a, b)
+            _bits.set_bits(packed, b, a)
         idx = np.arange(vertex_count)
-        np.bitwise_or.at(packed, (idx, idx >> 6), np.uint64(1) << (idx & 63).astype(np.uint64))
+        _bits.set_bits(packed, idx, idx)
         return cls(vertex_count, packed, validate=False)
 
     @classmethod
@@ -139,22 +139,25 @@ class FiniteGraph:
     def edge_count(self) -> int:
         return int(self.row_popcounts().sum() - self.vertex_count) // 2
 
-    def edges_chunks(self, chunk: int = 512) -> Iterator[np.ndarray]:
-        """Yield (k, 2) arrays of cross edges a < b in lexicographic order."""
+    def edges_chunks(self) -> Iterator[np.ndarray]:
+        """Yield (k, 2) arrays of cross edges a < b in lexicographic order.
+
+        Each block of rows is unpacked to about 2 MiB of bytes after the bits
+        at or below the diagonal are cleared in its packed words.
+        """
         v = self.vertex_count
+        w = _bits.word_count(v)
+        chunk = max(1, (1 << 21) // v)
         for r0 in range(0, v, chunk):
-            r1 = min(v, r0 + chunk)
-            block = _bits.unpack_rows(self._packed[r0:r1], v)
-            out = []
-            for local, u in enumerate(range(r0, r1)):
-                nz = np.nonzero(block[local, u + 1 :])[0]
-                if len(nz):
-                    pairs = np.empty((len(nz), 2), dtype=np.int64)
-                    pairs[:, 0] = u
-                    pairs[:, 1] = nz + (u + 1)
-                    out.append(pairs)
-            if out:
-                yield np.concatenate(out)
+            u = np.arange(r0, min(v, r0 + chunk))
+            upper = self._packed[r0 : r0 + chunk].copy()
+            upper[np.arange(w) < (u >> 6)[:, None]] = 0
+            # keep the bits above u's own bit in u's word (none when it is bit 63)
+            above = ~((np.uint64(2) << (u & 63).astype(np.uint64)) - np.uint64(1))
+            upper[np.arange(len(u)), u >> 6] &= above
+            rows, cols = np.divmod(np.flatnonzero(_bits.unpack_rows(upper, v).view(bool)), v)
+            if len(rows):
+                yield np.stack((rows + r0, cols), axis=1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(int(a), int(b)) for arr in self.edges_chunks() for a, b in arr]

@@ -38,5 +38,3 @@ def test_row_int_round_trip():
 def test_popcounts_and_full_row():
     full = _bits.full_row(70)
     assert _bits.row_popcounts(full[None, :])[0] == 70
-    comp = _bits.complement_rows(full[None, :], 70)
-    assert _bits.row_popcounts(comp)[0] == 0

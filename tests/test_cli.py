@@ -187,9 +187,10 @@ def test_verify_relabelled_top_level_malformed(tower_file, tmp_path, capsys, rel
     with open(tower_file) as fp:
         relabelled = relabel_top_level(json.load(fp))
     path = tmp_path / "relabelled.json"
-    path.write_text(json.dumps(relabelled, separators=(",", ":")))
+    path.write_text(json.dumps(relabelled, separators=(",", ":")) + "\n")
     code, _, err = run(["verify", "--in", str(path)], capsys)
     assert code == EXIT_MALFORMED
+    assert "bond 1 is not the division map" in err
 
 
 def test_verify_truncated_file_malformed(tower_file, tmp_path, capsys):
@@ -203,13 +204,40 @@ def test_verify_truncated_file_malformed(tower_file, tmp_path, capsys):
 def test_verify_oversized_level_malformed(tmp_path, capsys):
     # one level of 10^7 vertices declares about 11.4 TiB of packed rows
     path = tmp_path / "huge.json"
-    path.write_text('{"n":1,"seed":0,"levels":[{"v":10000000,"edges":[]}],"bonds":[],"per_level_m":[]}')
+    path.write_text('{"n":1,"seed":0,"levels":[{"v":10000000,"edges":[]}],"bonds":[],"per_level_m":[]}\n')
     code, _, err = run(["verify", "--in", str(path)], capsys)
     assert code == EXIT_MALFORMED
-    assert "malformed input" in err and "Traceback" not in err
+    assert "malformed input" in err and "physical memory" in err and "Traceback" not in err
 
 
-_WRONG_N = '{{"n":{n},"seed":0,"levels":[{{"v":2,"edges":[[0,1]]}}],"bonds":[],"per_level_m":[]}}'
+def _redump(text: str, **dumps_options) -> str:
+    return json.dumps(json.loads(text), **dumps_options)
+
+
+@pytest.mark.parametrize(
+    "rewrite, message",
+    [
+        (lambda text: _redump(text) + "\n", "n must be a decimal integer"),  # ", " and ": "
+        (lambda text: _redump(text, separators=(",", ":"), sort_keys=True) + "\n", "expected"),
+        (lambda text: text.replace('{"n":', '{"n":2,"n":', 1), "expected"),
+        (lambda text: text + "\n", "bytes after the tower's final newline"),
+        (lambda text: text[:-1], "expected"),
+        (lambda text: text.replace("[0,", "[ 0,", 1), "edges must be written"),
+        (lambda text: text.replace('"seed"', '"s\u00e9ed"', 1), "non-ASCII"),
+    ],
+    ids=["spaces", "key-order", "duplicate-key", "two-newlines", "no-newline", "space-in-edge", "non-ascii"],
+)
+def test_verify_non_canonical_file_malformed(tower_file, tmp_path, capsys, rewrite, message):
+    with open(tower_file) as fp:
+        text = fp.read()
+    path = tmp_path / "non-canonical.json"
+    path.write_bytes(rewrite(text).encode("utf-8"))
+    code, _, err = run(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_MALFORMED
+    assert message in err and "Traceback" not in err
+
+
+_WRONG_N = '{{"n":{n},"seed":0,"levels":[{{"v":2,"edges":[[0,1]]}}],"bonds":[],"per_level_m":[]}}\n'
 
 # VmHWM, not ru_maxrss: Linux carries the spawning process's peak over into a
 # child's ru_maxrss, so under a long pytest run that would read pytest's peak
