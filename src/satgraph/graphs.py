@@ -288,10 +288,14 @@ def find_realizer(g: FiniteGraph, f: TypeLike) -> Optional[int]:
 _PRODUCT_BLOCK = 1 << 17
 _ROWS_BLOCK = 1 << 20
 
-# The n = 3 scan screens every pair on this many columns spread over the
-# vertex range, and re-checks the pairs its screen misses at full width in
-# blocks of at most _FALLBACK_WORDS words (1 MiB) of rows.
+# The n = 3 scan screens every pair on _SCREEN_COLUMNS columns spread over
+# the vertex range.  The n >= 4 scan counts the realizers of each prefix
+# assignment's pair types on at most _PAIR_SCREEN of its candidate columns,
+# spread evenly over them: in a product level the leading candidates lie in
+# the first fibers only.  Both re-check what their screen misses at full
+# width, in blocks of at most _FALLBACK_WORDS words (1 MiB) of rows.
 _SCREEN_COLUMNS = 128
+_PAIR_SCREEN = 64
 _FALLBACK_WORDS = 1 << 17
 _ONE = np.uint64(1)
 
@@ -370,11 +374,16 @@ def _missing_type_pairs(g: FiniteGraph, ones_only: bool):
     return None
 
 
+def _spread_columns(cols: np.ndarray, width: int) -> np.ndarray:
+    """``width`` of ``cols`` spread evenly over them, or all of them when fewer."""
+    if len(cols) <= width:
+        return cols
+    return cols[np.arange(width) * len(cols) // width]
+
+
 def _screen_columns(v: int) -> np.ndarray:
     """The ``_SCREEN_COLUMNS`` columns the n = 3 scan screens on, or all of them."""
-    if v <= _SCREEN_COLUMNS:
-        return np.arange(v)
-    return np.arange(_SCREEN_COLUMNS) * v // _SCREEN_COLUMNS
+    return _spread_columns(np.arange(v), _SCREEN_COLUMNS)
 
 
 def _screen_words(g: FiniteGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -412,13 +421,19 @@ def _first_unrealized(
     return None
 
 
-def _realizer_rows(rows: np.ndarray, full: np.ndarray, vertices: np.ndarray, sign: int) -> np.ndarray:
+def _realizer_rows(
+    rows: np.ndarray, full: np.ndarray, vertices: np.ndarray, sign: Union[int, np.ndarray]
+) -> np.ndarray:
     """Packed realizers of ``sign`` at each of ``vertices``, one row each.
 
+    ``sign`` is one sign for every vertex, or an array of one per vertex.
     Sign 1 is the adjacency row with the vertex's own bit cleared, sign 0
     the non-adjacency row, which never holds the vertex itself.
     """
-    out = rows[vertices] if sign else ~rows[vertices] & full
+    if np.ndim(sign):
+        out = np.where(sign[:, None] == 1, rows[vertices], ~rows[vertices] & full)
+    else:
+        out = rows[vertices] if sign else ~rows[vertices] & full
     out[np.arange(len(vertices)), vertices >> 6] &= ~(_ONE << (vertices & 63).astype(np.uint64))
     return out
 
@@ -461,19 +476,22 @@ def _first_missing_pair(g: FiniteGraph, lo: int, cand: np.ndarray, ones_only: bo
     """Smallest (b, c, bit, sign) with lo <= b < c whose type has no realizer in cand.
 
     X stacks, for every vertex u >= lo, its non-adjacency row and its
-    adjacency row with the loop cleared, both restricted to the columns in
-    ``cand`` (see :func:`_type_rows`); entry ((b, bit), (c, sign)) of
-    X @ X.T then counts the realizers in ``cand``, other than b and c, of
-    the type {b: bit, c: sign}.  The counts are sums of at most V products
-    of 0/1 values, so float32 holds them exactly.  X is built in tiles of
-    c rows, at most ``_ROWS_BLOCK`` entries with their unpacked bits, and
-    each tile is multiplied by chunks of no more b rows, at most
-    ``_PRODUCT_BLOCK`` counts at a time; a later tile is only searched
-    below the smallest failing b found so far.
+    adjacency row with the loop cleared, both restricted to a screen of at
+    most ``_PAIR_SCREEN`` columns spread evenly over ``cand`` (see
+    :func:`_type_rows`); entry ((b, bit), (c, sign)) of X @ X.T then counts
+    the realizers on the screen, other than b and c, of the type
+    {b: bit, c: sign}.  The counts are sums of at most V products of 0/1
+    values, so float32 holds them exactly.  Only a type counted 0 can lack
+    a realizer, and each such type is re-checked on the full packed rows
+    (:func:`_first_unrealized_pair`).  X is built in tiles of c rows, at
+    most ``_ROWS_BLOCK`` entries with their unpacked bits, and each tile is
+    multiplied by chunks of no more b rows, at most ``_PRODUCT_BLOCK``
+    counts at a time; a later tile is only searched below the smallest
+    failing b found so far.
     """
     v = g.vertex_count
-    cols = np.nonzero(_bits.unpack_rows(cand, v))[0]
-    signs = (1,) if ones_only else (0, 1)
+    cols = _spread_columns(np.nonzero(_bits.unpack_rows(cand, v))[0], _PAIR_SCREEN)
+    signs = np.array((1,) if ones_only else (0, 1))
     ns = len(signs)
     tile = max(2, _ROWS_BLOCK // (ns * len(cols) + v))
     best = None
@@ -487,16 +505,41 @@ def _first_missing_pair(g: FiniteGraph, lo: int, cand: np.ndarray, ones_only: bo
             xb = xc[:, b0 - c0 : b1 - c0] if b0 >= c0 else _type_rows(g, b0, b1, cols, ones_only)
             cs = max(c0, b0 + 1)  # no c at or below the chunk's first b
             counts = xb.reshape(ns * (b1 - b0), -1) @ xc[:, cs - c0 :].transpose(0, 2, 1)
-            missing = (counts == 0).reshape(ns, ns, b1 - b0, c1 - cs)  # [sign, bit, b, c]
-            missing &= np.arange(cs, c1)[None, :] > np.arange(b0, b1)[:, None]
-            bad = missing.any(axis=(0, 1, 3))
-            if bad.any():
-                i = int(np.argmax(bad))
-                first = int(np.argmax(missing[:, :, i].transpose(2, 1, 0)))
-                j, bit, sign = np.unravel_index(first, (c1 - cs, ns, ns))
-                best = (b0 + i, cs + int(j), signs[bit], signs[sign])
+            counts = counts.reshape(ns, ns, b1 - b0, c1 - cs)  # [sign, bit, b, c]
+            # entries with c <= b, all among the first b1 - cs columns, are
+            # no pair b < c: count them as realized
+            low = np.arange(cs, min(b1, c1))
+            np.copyto(counts[..., : len(low)], 1, where=low <= np.arange(b0, b1)[:, None])
+            if counts.min() > 0:
+                continue
+            # suspects in scan order: b, then c, then bit, then sign
+            i, j, bit, sign = np.nonzero(counts.transpose(2, 3, 1, 0) == 0)
+            k = _first_unrealized_pair(g, cand, b0 + i, signs[bit], cs + j, signs[sign])
+            if k is not None:
+                best = (b0 + int(i[k]), cs + int(j[k]), int(signs[bit[k]]), int(signs[sign[k]]))
                 break
     return best
+
+
+def _first_unrealized_pair(
+    g: FiniteGraph, cand: np.ndarray, b: np.ndarray, bit: np.ndarray, c: np.ndarray, sign: np.ndarray
+) -> Optional[int]:
+    """First i whose type {b[i]: bit[i], c[i]: sign[i]} has no realizer in ``cand``, or None.
+
+    Checks the full rows, ``_FALLBACK_WORDS`` words of each operand at a time.
+    """
+    rows = g.packed_rows
+    full = _bits.full_row(g.vertex_count)
+    step = max(1, _FALLBACK_WORDS // len(full))
+    for s0 in range(0, len(b), step):
+        s = slice(s0, s0 + step)
+        hit = _realizer_rows(rows, full, b[s], bit[s])
+        hit &= _realizer_rows(rows, full, c[s], sign[s])
+        hit &= cand
+        ok = hit.any(axis=1)
+        if not ok.all():
+            return s0 + int(np.argmin(ok))
+    return None
 
 
 def _type_rows(g: FiniteGraph, r0: int, r1: int, cols: np.ndarray, ones_only: bool) -> np.ndarray:

@@ -37,7 +37,10 @@ from .towers import MAX_SEED, Tower
 
 # An edge list is parsed in slices of about this many bytes, each cut just
 # after an edge's "]", so the temporaries stay small whatever the file size.
-_CHUNK_BYTES = 1 << 20
+# A slice's temporaries (int64 separator positions and endpoint values) take
+# about ten times its bytes: loading a 1 MB n=4 tower raised the peak RSS by
+# 12.6 MiB with 1 MiB slices and by 2.1 MiB with 64 KiB ones.
+_CHUNK_BYTES = 1 << 16
 
 _INT = re.compile(rb"[0-9]+")
 _MAX_INT_DIGITS = 20  # MAX_SEED has 20 digits

@@ -336,19 +336,22 @@ def scan_cases():
 
 # Shrunk budgets split the (b, c) plane into several tiles of c rows and
 # several chunks of b rows per tile (one row each at (8, 8)), so the tiled
-# path is compared too.
-BLOCKS = pytest.mark.parametrize(
-    "blocks", [None, (8, 8), (120, 2000)], ids=["default", "one-row", "tiled"]
-)
+# path is compared too.  A 4-column screen counts 0 for many realized types,
+# so the exact re-check decides most suspects.
+BLOCKS = {
+    "default": {},
+    "one-row": {"_PRODUCT_BLOCK": 8, "_ROWS_BLOCK": 8},
+    "tiled": {"_PRODUCT_BLOCK": 120, "_ROWS_BLOCK": 2000},
+    "screen-4": {"_PAIR_SCREEN": 4},
+}
 
 
 def shrink_blocks(monkeypatch, blocks):
-    if blocks is not None:
-        monkeypatch.setattr(graphs, "_PRODUCT_BLOCK", blocks[0])
-        monkeypatch.setattr(graphs, "_ROWS_BLOCK", blocks[1])
+    for name, value in BLOCKS[blocks].items():
+        monkeypatch.setattr(graphs, name, value)
 
 
-@BLOCKS
+@pytest.mark.parametrize("blocks", list(BLOCKS))
 def test_block_scan_matches_reference_loop(blocks, monkeypatch):
     shrink_blocks(monkeypatch, blocks)
     verdicts = {True: 0, False: 0}
@@ -362,7 +365,7 @@ def test_block_scan_matches_reference_loop(blocks, monkeypatch):
     assert min(verdicts.values()) >= 10
 
 
-@pytest.mark.parametrize("blocks", [None, (120, 2000)], ids=["default", "tiled"])
+@pytest.mark.parametrize("blocks", ["default", "tiled", "screen-4"])
 @pytest.mark.parametrize("pattern", range(8))
 def test_block_scan_finds_planted_missing_type(pattern, blocks, monkeypatch):
     # move every realizer of one type over a late triple to the opposite
@@ -385,6 +388,81 @@ def test_block_scan_finds_planted_missing_type(pattern, blocks, monkeypatch):
         weak = is_weakly_n_saturated(g, 4).counterexample
         assert weak == scan_missing_type(g, 4, ones_only=True)
         assert weak[0] <= subset
+
+
+# -- the n >= 4 screen and its full-width re-check ------------------------------
+
+
+@pytest.fixture(scope="module")
+def n4_graph():
+    """Adjacency of a 4-saturated random graph; a prefix has about 100 candidates for 64 screen columns."""
+    g = random_graph(200, seed=13)
+    assert is_n_saturated(g, 4).holds
+    return dense_adjacency(g)
+
+
+# Edges a-b and a-c are set to the bit of a, so b and c lie in the scan's
+# candidates for the prefix {a: bit of a}, and edge b-c is set, so for a
+# type with bit 1 at both b and c each would pass for a realizer of it if
+# the re-check kept its own bit.
+N4_TRIPLE = (120, 160, 185)
+
+
+def n4_screen_miss_graph(dense: np.ndarray, pattern: int, keep_outside: bool):
+    """Move the realizers of one type over N4_TRIPLE to the opposite bit at c.
+
+    With ``keep_outside`` only the realizers on the screen columns of the
+    prefix {a: bit of a} move, so the type keeps the realizers off the
+    screen and nothing else.  Row a does not change, so neither does the
+    screen.
+    """
+    a, b, c = N4_TRIPLE
+    bits = ((pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1)
+    dense = dense.copy()
+    dense[a, [b, c]] = dense[[b, c], a] = bits[0]
+    dense[b, c] = dense[c, b] = 1
+    v = len(dense)
+    outside = np.array([x for x in range(v) if x not in N4_TRIPLE])
+    realizers = outside[(dense[np.ix_(outside, N4_TRIPLE)] == bits).all(axis=1)]
+    if keep_outside:
+        realizers = realizers[np.isin(realizers, n4_screen(dense, bits[0]))]
+    dense[realizers, c] ^= 1
+    dense[c, realizers] ^= 1
+    return FiniteGraph.from_dense(dense), TypeSpec(tuple(zip(N4_TRIPLE, bits)))
+
+
+def n4_screen(dense: np.ndarray, bit_a: int) -> np.ndarray:
+    """The screen columns of the prefix {a: bit_a}, a the first vertex of N4_TRIPLE."""
+    a = N4_TRIPLE[0]
+    cand = np.flatnonzero(dense[a] == bit_a)
+    return graphs._spread_columns(cand[cand != a], graphs._PAIR_SCREEN)
+
+
+N4_PATTERNS = pytest.mark.parametrize("pattern", [0, 3, 6, 7])
+
+
+@N4_PATTERNS
+def test_n4_fallback_rescues_type_realized_off_screen(pattern, n4_graph):
+    g, f = n4_screen_miss_graph(n4_graph, pattern, keep_outside=True)
+    cols = n4_screen(dense_adjacency(g), pattern >> 2)
+    assert len(cols) == graphs._PAIR_SCREEN
+    assert not any(realizes(g, int(x), f) for x in cols if x not in N4_TRIPLE)
+    assert find_realizer(g, f) is not None
+    assert scan_missing_type(g, 4, ones_only=False) is None
+    assert is_n_saturated(g, 4).counterexample is None
+    if pattern == 7:
+        assert is_weakly_n_saturated(g, 4).holds
+
+
+@N4_PATTERNS
+def test_n4_fallback_reports_type_with_no_realizer(pattern, n4_graph):
+    g, f = n4_screen_miss_graph(n4_graph, pattern, keep_outside=False)
+    assert find_realizer(g, f) is None
+    assert scan_missing_type(g, 4, ones_only=False) == (N4_TRIPLE, f)
+    assert is_n_saturated(g, 4).counterexample == (N4_TRIPLE, f)
+    if pattern == 7:
+        assert scan_missing_type(g, 4, ones_only=True) == (N4_TRIPLE, f)
+        assert is_weakly_n_saturated(g, 4).counterexample == (N4_TRIPLE, f)
 
 
 # -- independent n = 3 oracle: realizer counts from matrix products ---------------

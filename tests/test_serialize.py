@@ -314,7 +314,7 @@ def test_load_peak_memory_stays_near_file_size(tmp_path):
     assert proc.returncode == 0, proc.stderr
     top, grown = map(int, proc.stdout.split())
     assert top == t.levels[-1].vertex_count
-    assert grown <= 3 * size, (grown / 2**20, size / 2**20)
+    assert grown <= 1.5 * size, (grown / 2**20, size / 2**20)
 
 
 def test_missing_file_is_format_error(tmp_path):
