@@ -235,6 +235,12 @@ def _first_missing_tuple(
     return None
 
 
+def _fiber_union(g: FiniteGraph, copies: int) -> np.ndarray:
+    """Packed OR of each fiber's rows: row i is every neighbour of a copy of base vertex i."""
+    rows = g.packed_rows
+    return np.bitwise_or.reduce(rows.reshape(len(rows) // copies, copies, -1), axis=1)
+
+
 def check_product_lifting(
     g: FiniteGraph,
     base: FiniteGraph,
@@ -263,7 +269,7 @@ def check_product_lifting(
     if n == 1:
         return LiftingReport(True)
     base_bits = _bits.unpack_rows(base.packed_rows, k)
-    union = np.bitwise_or.reduce(g.packed_rows.reshape(k, copies, -1), axis=1)
+    union = _fiber_union(g, copies)
     chunk = max(1, (1 << 24) // max(1, g.vertex_count))
     for i0 in range(0, k, chunk):
         i1 = min(k, i0 + chunk)
@@ -325,9 +331,23 @@ def build_extension(
         m = minimal_certified_m(n, base.vertex_count)
     if m < 1:
         raise ValueError("m must be at least 1")
-    for attempt in range(max_attempts):
+    return _first_accepted(n, base, seed, m, max_attempts)
+
+
+def _first_accepted(
+    n: int, base: FiniteGraph, seed: int, m: int, attempts: int, known: Optional[FiniteGraph] = None
+) -> tuple[FiniteGraph, int]:
+    """Build's acceptance loop: the first seeded sample that is n-saturated and lifts.
+
+    Returns the sample and the attempts it took.  A sample equal to
+    ``known``, a graph the caller has already found n-saturated, skips the
+    saturation scan.  Raises :class:`AttemptsExhausted` when none of
+    ``attempts`` attempts is accepted.
+    """
+    for attempt in range(attempts):
         graph = None  # release the rejected sample before drawing anew
         graph = sample_product_graph(base, m, attempt_seed(seed, attempt))
-        if is_n_saturated(graph, n).holds and check_product_lifting(graph, base, m, n).holds:
+        saturated = graph == known or is_n_saturated(graph, n).holds
+        if saturated and check_product_lifting(graph, base, m, n).holds:
             return graph, attempt + 1
-    raise AttemptsExhausted(max_attempts, m)
+    raise AttemptsExhausted(attempts, m)

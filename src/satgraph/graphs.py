@@ -304,20 +304,13 @@ def _missing_type_small(g: FiniteGraph, n: int, ones_only: bool):
     # vertex_count < n-1: every subset size below n is in play, including all
     # of V, whose types are unrealizable by definition.
     v = g.vertex_count
-    full = (1 << v) - 1
-    masks = [g.neighbors_mask(x) for x in range(v)]
-    for size in range(0, n):
-        if size > v:
-            break
+    for size in range(min(n, v + 1)):
         for subset in itertools.combinations(range(v), size):
             assignments = [(1,) * size] if ones_only else itertools.product((0, 1), repeat=size)
             for bits in assignments:
-                cand = full
-                for a, b in zip(subset, bits):
-                    cand &= masks[a] if b else (full ^ masks[a])
-                    cand &= ~(1 << a)
-                if cand & full == 0:
-                    return subset, TypeSpec(tuple(zip(subset, bits)))
+                f = TypeSpec(tuple(zip(subset, bits)))
+                if find_realizer(g, f) is None:
+                    return subset, f
     return None
 
 

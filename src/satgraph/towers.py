@@ -21,9 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import _bits
-from .builder import (
-    AttemptsExhausted, attempt_seed, build_extension, check_product_lifting, sample_product_graph
-)
+from .builder import _first_accepted, _fiber_union, build_extension, check_product_lifting
 from .graphs import FiniteGraph, TypeSpec, find_realizer, is_n_saturated
 
 
@@ -175,26 +173,19 @@ def matches_seed(t: Tower) -> bool:
     """Whether every stored level is the sample its seed accepts over the level below.
 
     Precondition: ``t`` has passed :func:`verify_tower`, so every level
-    above 0 is known to be n-saturated.  Step d replays build's attempts
-    over the stored level d, which equals its own replay by induction.  A
-    sample equal to the stored level d+1 needs only build's repeats-allowed
-    lifting check to be accepted; any other sample that build accepts means
-    the tower is not the seed's.  Raises :class:`AttemptsExhausted` when
-    ``REPLAY_ATTEMPTS`` attempts accept nothing.
+    above 0 is known to be n-saturated.  Step d runs build's own attempt
+    loop over the stored level d, which equals its own replay by induction,
+    with the stored level d+1 passed as known saturated; the tower is the
+    seed's when that loop accepts exactly the stored level d+1.  Raises
+    :class:`~satgraph.builder.AttemptsExhausted` when ``REPLAY_ATTEMPTS``
+    attempts accept nothing.
     """
     for d, m in enumerate(t.per_level_m):
-        base, stored = t.levels[d], t.levels[d + 1]
+        stored = t.levels[d + 1]
         seed = level_build_seed(t.seed, d)
-        for attempt in range(REPLAY_ATTEMPTS):
-            g = sample_product_graph(base, m, attempt_seed(seed, attempt))
-            same = g == stored  # then saturated, as verify_tower has checked
-            saturated = same or is_n_saturated(g, t.n).holds
-            if saturated and check_product_lifting(g, base, m, t.n).holds:
-                if not same:
-                    return False
-                break
-        else:
-            raise AttemptsExhausted(REPLAY_ATTEMPTS, m)
+        accepted, _ = _first_accepted(t.n, t.levels[d], seed, m, REPLAY_ATTEMPTS, known=stored)
+        if accepted != stored:
+            return False
     return True
 
 
@@ -243,11 +234,6 @@ class TowerReport:
         return self.ok
 
 
-def _fiber_union(src: FiniteGraph, v_tgt: int, copies: int) -> np.ndarray:
-    view = src.packed_rows.reshape(v_tgt, copies, -1)
-    return np.bitwise_or.reduce(view, axis=1)
-
-
 def _cover_matrix(union: np.ndarray, v_tgt: int, copies: int) -> np.ndarray:
     v_src = v_tgt * copies
     cover = np.empty((v_tgt, v_tgt), dtype=bool)
@@ -266,7 +252,7 @@ def _check_division_quotient(src: FiniteGraph, tgt: FiniteGraph, copies: int) ->
     adjacent (edge preservation) and conversely every base edge must be
     covered (strictness); surjectivity is structural for fiber maps.
     """
-    union = _fiber_union(src, tgt.vertex_count, copies)
+    union = _fiber_union(src, copies)
     cover = _cover_matrix(union, tgt.vertex_count, copies)
     adj = _bits.unpack_rows(tgt.packed_rows, tgt.vertex_count).astype(bool)
     if np.array_equal(cover, adj):

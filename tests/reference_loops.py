@@ -70,6 +70,28 @@ def scan_missing_type(g: FiniteGraph, n: int, ones_only: bool):
     return None
 
 
+def first_missing_type_loops(g: FiniteGraph, n: int, ones_only: bool):
+    """Smallest (A, f) over subsets of every size below n with no realizer, or None.
+
+    The answer the library reports for graphs with fewer than n-1 vertices,
+    where every subset size is in play.  Sizes ascend, subsets and 0/1
+    assignments run lexicographically (only all ones with ``ones_only``),
+    and realizers are searched vertex by vertex through ``g.adjacent``.
+    """
+    v = g.vertex_count
+    for size in range(min(n, v + 1)):
+        for subset in itertools.combinations(range(v), size):
+            assignments = [(1,) * size] if ones_only else itertools.product((0, 1), repeat=size)
+            for bits in assignments:
+                if not any(
+                    w not in subset
+                    and all(g.adjacent(w, a) == bool(b) for a, b in zip(subset, bits))
+                    for w in range(v)
+                ):
+                    return subset, TypeSpec(tuple(zip(subset, bits)))
+    return None
+
+
 def product_lifting_loops(g: FiniteGraph, base: FiniteGraph, m: int, n: int, distinct_bases=False):
     """First lifting counterexample ``(i, targets)`` for n >= 3, or None.
 

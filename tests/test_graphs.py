@@ -23,7 +23,7 @@ from satgraph.graphs import (
 )
 from satgraph.towers import extend_tower, new_tower
 
-from reference_loops import scan_missing_type
+from reference_loops import first_missing_type_loops, scan_missing_type
 
 
 def path3():
@@ -205,15 +205,29 @@ def test_small_vertex_count_edge_case():
 # -- oracle cross-validation ---------------------------------------------------
 
 
-def all_four_vertex_graphs():
-    pairs = list(itertools.combinations(range(4), 2))
+def all_graphs(v):
+    pairs = list(itertools.combinations(range(v), 2))
     for bits in itertools.product((0, 1), repeat=len(pairs)):
-        yield FiniteGraph.from_edges(4, [p for p, b in zip(pairs, bits) if b])
+        yield FiniteGraph.from_edges(v, [p for p, b in zip(pairs, bits) if b])
+
+
+def test_small_vertex_counts_match_reference_loop():
+    # every graph on 1-4 vertices, n = V+2 .. V+5: fewer than n-1 vertices,
+    # so every subset size below n is scanned
+    cases = 0
+    for v in range(1, 5):
+        for g in all_graphs(v):
+            for n in range(v + 2, v + 6):
+                for ones_only, check in ((False, is_n_saturated), (True, is_weakly_n_saturated)):
+                    expected = first_missing_type_loops(g, n, ones_only)
+                    assert check(g, n).counterexample == expected
+                    cases += 1
+    assert cases == 600
 
 
 def test_oracle_agreement_exhaustive_four_vertices():
     count = 0
-    for g in all_four_vertex_graphs():
+    for g in all_graphs(4):
         for n in (1, 2, 3):
             assert is_n_saturated(g, n).holds == oracle_is_n_saturated(g, n)
         count += 1

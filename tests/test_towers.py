@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from satgraph.builder import minimal_certified_m
+from satgraph.builder import attempt_seed, build_extension, minimal_certified_m, sample_product_graph
 from satgraph.graphs import FiniteGraph, TypeSpec, find_realizer, is_weakly_n_saturated
 from satgraph.towers import (
     AdjacencyStatus,
@@ -15,6 +15,7 @@ from satgraph.towers import (
     check_realization,
     extend_realizer,
     extend_tower,
+    level_build_seed,
     matches_seed,
     new_tower,
     project,
@@ -98,6 +99,17 @@ def test_matches_seed(t2):
     assert matches_seed(t2)
     # the same levels under another seed pass verify_tower but are not its build
     assert not matches_seed(Tower(2, 43, t2.levels, t2.per_level_m))
+    # step 0 here took 9 attempts, so the replay passes 8 rejected samples first
+    k3, seed = FiniteGraph.complete(3), level_build_seed(0, 0)
+    assert build_extension(3, k3, seed, m=27)[1] == 9
+    t3 = extend_tower(new_tower(3, 0), m=27)
+    assert matches_seed(t3)
+    # attempt 0 passes verify_tower, but build's repeats-allowed lifting rejects it
+    first = Tower(3, 0, (k3, sample_product_graph(k3, 27, attempt_seed(seed, 0))), (27,))
+    assert verify_tower(first)
+    assert not matches_seed(first)
+    # attempt 0 here lifts but is not 2-saturated: the replay must scan it
+    assert matches_seed(extend_tower(new_tower(2, 0), m=2))
 
 
 def test_verify_catches_deleted_edge(t2_small):
