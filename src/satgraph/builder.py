@@ -190,48 +190,133 @@ class LiftingReport:
         return self.holds
 
 
-# One block product of the tuple check materializes at most _PRODUCT_ROWS b
-# rows and at most _PRODUCT_BLOCK float32 count entries (4 MiB).  The row cap
-# keeps the wasted part below the diagonal of each block small; without it a
-# narrow plane would take every b row in one block and count the whole square.
-_PRODUCT_BLOCK = 1 << 20
-_PRODUCT_ROWS = 128
+# The tuple kernel ORs lookup tables over groups of 8 copies into blocks of
+# at most _LIFTING_WORDS words of rows (256 KiB); from _DROP_GROUPS groups on,
+# the rows left without a hole are dropped.
+_LIFTING_WORDS = 1 << 15
+_DROP_GROUPS = 4
+# _LOW_MASKS[t] holds the low t bits of a word, t = 0 .. 64
+_LOW_MASKS = np.array([(1 << t) - 1 for t in range(65)], dtype=np.uint64)
 
 
-def _first_missing_tuple(
-    fiber: np.ndarray, size: int, t_bases: np.ndarray, distinct_bases: bool
-) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest target tuple with no copy adjacent to all, or None.
+def _copy_tables(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables and target index of a copy x target 0/1 matrix.
 
-    ``fiber`` is the copy x target float32 0/1 matrix F of one base vertex,
-    ``t_bases`` the ascending base vertex of each target, and ``size`` >= 2
-    the tuple size.  The walk runs over lexicographic prefixes of size-2
-    targets; the product of the prefix columns marks the common copies of
-    the prefix, and (F[:, b-chunk] * common).T @ F[:, b0+1:] counts the
-    common copies of the prefix plus (b, c) for every b and c above it.
-    Counts are at most the number of copies, exact in float32.  With
-    ``distinct_bases`` tuples with two targets over one base vertex are
-    exempt: since ``t_bases`` is sorted, every target must lie above the
-    last target over the base of the one before it.
+    Entry [g, s] of the tables is the OR of the copies' rows, packed over
+    the targets, for the copies 8g + j at the bits j of s; byte [g, t] of
+    the index holds the bits of target t in the copies of group g.
     """
-    count = fiber.shape[1]
-    targets = np.arange(count)
-    # smallest target allowed to follow each target in a tuple
-    after = np.searchsorted(t_bases, t_bases, side="right") if distinct_bases else targets + 1
-    step = max(1, min(_PRODUCT_ROWS, _PRODUCT_BLOCK // max(1, count)))
+    rows = _bits.pack_bits(np.ascontiguousarray(bits))
+    copies, w = rows.shape
+    groups = -(-copies // 8)
+    grouped = np.zeros((groups * 8, w), dtype=np.uint64)
+    grouped[:copies] = rows
+    grouped = grouped.reshape(groups, 8, w)
+    tables = np.zeros((groups, 256, w), dtype=np.uint64)
+    for j in range(8):
+        np.bitwise_or(tables[:, : 1 << j], grouped[:, j, None], out=tables[:, 1 << j : 2 << j])
+    return tables, np.packbits(bits, axis=0, bitorder="little")
+
+
+def _first_hole(
+    tables: np.ndarray, index: np.ndarray, start: np.ndarray, count: int
+) -> Optional[tuple[int, int]]:
+    """First row r with a target c, start[r] <= c < count, that its copies miss: (r, c), or None.
+
+    Row r's copies are given per group g of 8 by the bits of ``index[g, r]``,
+    and the OR of their rows is the OR of the table entries ``tables[g,
+    index[g, r]]`` (the method of Four Russians).  Each row starts with the
+    targets below start[r] and past count set, so a hole is a zero bit.
+    Rows are decided in blocks of at most ``_LIFTING_WORDS`` words that
+    reuse their buffers; a row with no hole left after ``_DROP_GROUPS`` or
+    more groups is dropped.
+    """
+    groups, total = index.shape
+    w = tables.shape[2]
+    step = max(1, min(total, _LIFTING_WORDS // w))
+    shifts = np.arange(0, 64 * w, 64)
+    tail = ~_bits.full_row(count)[-1]
+    low = np.empty((step, w), dtype=np.int64)
+    seen_buf = np.empty((step, w), dtype=np.uint64)
+    picked = np.empty((step, w), dtype=np.uint64)
+    for r0 in range(0, total, step):
+        r1 = min(total, r0 + step)
+        live = np.arange(r0, r1)
+        idx = index[:, r0:r1]
+        np.subtract(start[r0:r1, None], shifts, out=low[: r1 - r0])
+        seen = np.take(_LOW_MASKS, low[: r1 - r0], out=seen_buf[: r1 - r0], mode="clip")
+        seen[:, -1] |= tail
+        for g in range(groups):
+            if g >= _DROP_GROUPS:
+                keep = np.bitwise_and.reduce(seen, axis=1) != _bits._ALL_ONES
+                if not keep.all():
+                    live, idx, seen = live[keep], idx[:, keep], seen[keep]
+                    if not len(live):
+                        break
+            out = picked[: len(live)]
+            np.take(tables[g], idx[g], axis=0, out=out, mode="clip")
+            seen |= out
+        holes = np.bitwise_and.reduce(seen, axis=1) != _bits._ALL_ONES
+        if holes.any():
+            r = int(np.argmax(holes))
+            return int(live[r]), _bits.lowest_set_bit(~seen[r])
+    return None
+
+
+def _prefix_batches(count: int, size: int, after: np.ndarray, rows_per_batch: int):
+    """The walk's prefixes of size-2 targets with their first b, batched.
+
+    Yields lists of (prefix, lo) in lexicographic order, each list with at
+    least ``rows_per_batch`` b rows in all (the last one may have fewer).
+    A prefix is skipped when a target lies below ``after`` of the one before
+    it, or when no b is left above it.
+    """
+    batch, rows = [], 0
     for prefix in itertools.combinations(range(count), size - 2):
         if any(after[p] > q for p, q in zip(prefix, prefix[1:])):
             continue
         lo = int(after[prefix[-1]]) if prefix else 0
-        common = fiber[:, list(prefix)].prod(axis=1, keepdims=True)
-        for b0 in range(lo, count - 1, step):
-            b1 = min(count - 1, b0 + step)
-            missing = (fiber[:, b0:b1] * common).T @ fiber[:, b0 + 1 :] == 0
-            missing &= targets[b0 + 1 :] >= after[b0:b1, None]
-            bad = missing.any(axis=1)
-            if bad.any():
-                r = int(np.argmax(bad))
-                return prefix + (b0 + r, b0 + 1 + int(np.argmax(missing[r])))
+        if lo < count:
+            batch.append((prefix, lo))
+            rows += count - lo
+        if rows >= rows_per_batch:
+            yield batch
+            batch, rows = [], 0
+    if batch:
+        yield batch
+
+
+def _first_uncovered_tuple(
+    tables: np.ndarray, index: np.ndarray, n: int, t_bases: np.ndarray, distinct_bases: bool
+) -> Optional[tuple[int, ...]]:
+    """Smallest target tuple, of 2 to n-1 targets, with no copy adjacent to all, or None.
+
+    ``tables`` and ``index`` are :func:`_copy_tables` of the copy x target
+    0/1 matrix of one base vertex, and ``t_bases`` is the ascending base
+    vertex of each target.  Smaller tuples come first, and tuples of one
+    size in lexicographic order.  For each size the walk runs over the
+    prefixes of size-2 targets and over b above each; the copies of row
+    (prefix, b) are those adjacent to the prefix and to b, and
+    :func:`_first_hole` finds the first row with a target c >= ``after[b]``
+    that none of them is adjacent to.  With ``distinct_bases`` tuples with
+    two targets over one base vertex are exempt: since ``t_bases`` is
+    sorted, every target must lie above the last target over the base of
+    the one before it.
+    """
+    count = index.shape[1]
+    # smallest target allowed to follow each target in a tuple
+    after = np.searchsorted(t_bases, t_bases, side="right") if distinct_bases else np.arange(1, count + 1)
+    rows_per_batch = max(1, _LIFTING_WORDS // tables.shape[2])
+    for size in range(2, n):
+        for batch in _prefix_batches(count, size, after, rows_per_batch):
+            prefixes = np.array([prefix for prefix, _ in batch], dtype=np.intp).reshape(len(batch), size - 2)
+            common = np.bitwise_and.reduce(index[:, prefixes], axis=2)  # [group, prefix]
+            owner = np.repeat(np.arange(len(batch)), [count - lo for _, lo in batch])
+            b = np.concatenate([np.arange(lo, count) for _, lo in batch])
+            found = _first_hole(tables, index[:, b] & common[:, owner], after[b], count)
+            if found is not None:
+                r, c = found
+                return batch[owner[r]][0] + (int(b[r]), c)
     return None
 
 
@@ -254,11 +339,15 @@ def check_product_lifting(
     lying over base neighbours of i (repeats allowed; pass
     ``distinct_bases=True`` to restrict to configurations over pairwise
     distinct base vertices), some copy (i, l) must be adjacent to all of
-    them.  Singletons are a fiber-union test over chunks of base vertices;
-    every larger tuple size is counted in blocks by
-    :func:`_first_missing_tuple`.  The scan runs base vertices in ascending
-    order, checking singletons, then pairs, then larger tuples
-    lexicographically, so failures are reported deterministically.
+    them.  Singletons are a fiber-union test over chunks of base vertices.
+    Every larger tuple size is decided on packed bits by
+    :func:`_first_uncovered_tuple`: for each prefix of the tuple and each
+    next target b, the OR of the rows of the copies adjacent to both, taken
+    from lookup tables over groups of 8 copies, is the set of targets that
+    share a copy with them, and its first zero bit is a counterexample.
+    The scan runs base vertices in ascending order, checking singletons,
+    then pairs, then larger tuples lexicographically, so failures are
+    reported deterministically.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -282,11 +371,13 @@ def check_product_lifting(
                 continue
             tcols = np.nonzero(np.repeat(base_bits[i].astype(bool), copies))[0]
             rows = g.packed_rows[i * copies : (i + 1) * copies]
-            fiber = _bits.unpack_rows(rows, g.vertex_count)[:, tcols].astype(np.float32)
-            for size in range(2, n):
-                found = _first_missing_tuple(fiber, size, tcols // copies, distinct_bases)
-                if found is not None:
-                    return LiftingReport(False, (i, tuple(int(tcols[t]) for t in found)))
+            # the tables stay unnamed, so that each base vertex's are freed
+            # before the next one's are built
+            found = _first_uncovered_tuple(
+                *_copy_tables(_bits.unpack_rows(rows, g.vertex_count)[:, tcols]), n, tcols // copies, distinct_bases
+            )
+            if found is not None:
+                return LiftingReport(False, (i, tuple(int(tcols[t]) for t in found)))
     return LiftingReport(True)
 
 

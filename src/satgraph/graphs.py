@@ -284,7 +284,8 @@ def find_realizer(g: FiniteGraph, f: TypeLike) -> Optional[int]:
 # -- exhaustive saturation checks -------------------------------------------
 
 # Largest blocks the n >= 4 scan materializes, in float32 entries: one block
-# of counts (512 KiB), and one tile of X rows with their unpacked bits (4 MiB).
+# of counts (512 KiB), and one tile of X rows with the screen words they are
+# read from, two entries per 64-bit word (4 MiB).
 _PRODUCT_BLOCK = 1 << 17
 _ROWS_BLOCK = 1 << 20
 
@@ -477,7 +478,7 @@ def _first_missing_pair(g: FiniteGraph, lo: int, cand: np.ndarray, ones_only: bo
     values, so float32 holds them exactly.  Only a type counted 0 can lack
     a realizer, and each such type is re-checked on the full packed rows
     (:func:`_first_unrealized_pair`).  X is built in tiles of c rows, at
-    most ``_ROWS_BLOCK`` entries with their unpacked bits, and each tile is
+    most ``_ROWS_BLOCK`` entries with their screen words, and each tile is
     multiplied by chunks of no more b rows, at most ``_PRODUCT_BLOCK``
     counts at a time; a later tile is only searched below the smallest
     failing b found so far.
@@ -486,7 +487,7 @@ def _first_missing_pair(g: FiniteGraph, lo: int, cand: np.ndarray, ones_only: bo
     cols = _spread_columns(np.nonzero(_bits.unpack_rows(cand, v))[0], _PAIR_SCREEN)
     signs = np.array((1,) if ones_only else (0, 1))
     ns = len(signs)
-    tile = max(2, _ROWS_BLOCK // (ns * len(cols) + v))
+    tile = max(2, _ROWS_BLOCK // max(1, (ns + 2) * len(cols)))
     best = None
     for c0 in range(lo, v, tile):
         c1 = min(v, c0 + tile)
@@ -540,9 +541,13 @@ def _type_rows(g: FiniteGraph, r0: int, r1: int, cols: np.ndarray, ones_only: bo
 
     Bit 1 is the adjacency row with the loop cleared, bit 0 (left out when
     ``ones_only``) the non-adjacency row, so neither counts the row itself.
+    The bits are read from the packed word of each screen column only.
     """
     x = np.empty((1 if ones_only else 2, r1 - r0, len(cols)), dtype=np.float32)
-    x[-1] = _bits.unpack_rows(g.packed_rows[r0:r1], g.vertex_count)[:, cols]
+    words = g.packed_rows[r0:r1, cols >> 6]
+    words >>= (cols & 63).astype(np.uint64)
+    words &= _ONE
+    x[-1] = words
     if not ones_only:
         np.subtract(1, x[-1], out=x[0])
     own = np.nonzero((cols >= r0) & (cols < r1))[0]

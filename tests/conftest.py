@@ -14,6 +14,26 @@ def division_map(g: FiniteGraph, base: FiniteGraph, m: int) -> GraphMap:
     return GraphMap(g, base, np.arange(g.vertex_count) // (m + 1))
 
 
+def without_edges(g: FiniteGraph, edges) -> FiniteGraph:
+    """``g`` less the given cross edges (u, w), u != w."""
+    rows = g.packed_rows.copy()
+    for u, w in edges:
+        for a, b in ((u, w), (w, u)):
+            rows[a, b >> 6] &= ~np.uint64(1 << (b & 63))
+    return FiniteGraph(g.vertex_count, rows)
+
+
+def uncover(g: FiniteGraph, m: int, i: int, targets: tuple[int, ...]) -> FiniteGraph:
+    """``g`` less the edges from each copy of base vertex i adjacent to all targets to one of them.
+
+    No copy of i is then adjacent to every target, so the lifting check of a
+    product graph over ``m + 1`` copies fails at i, or earlier.
+    """
+    fiber = range(i * (m + 1), (i + 1) * (m + 1))
+    covering = [u for u in fiber if all(g.adjacent(u, t) for t in targets)]
+    return without_edges(g, [(u, next(t for t in reversed(targets) if t != u)) for u in covering])
+
+
 def orthogonal_fibers():
     """Product graph over K4 whose lifting holds for triples but not for four targets.
 

@@ -1,10 +1,10 @@
 """Reference implementations the tests compare the library against.
 
 The per-pair loop versions of the saturation scan and the product lifting
-check are the loops the library ran before its n >= 4 saturation scan and
-its lifting tuple check became block products over the (b, c) plane: the
-tests require the library to report exactly the counterexamples these
-report.
+check are the loops the library ran before its n >= 4 saturation scan
+became block products over the (b, c) plane and its lifting tuple check a
+packed lookup-table kernel: the tests require the library to report
+exactly the counterexamples these report.
 
 The generic graph-map oracles decide, for an arbitrary vertex map, whether
 it is a homomorphism, strict, surjective or a quotient map, compose maps,

@@ -25,7 +25,7 @@ from satgraph.builder import (
 from satgraph.graphs import FiniteGraph, is_n_saturated, random_graph
 from satgraph.towers import extend_tower, new_tower
 
-from conftest import division_map, orthogonal_fibers
+from conftest import division_map, orthogonal_fibers, uncover
 from reference_loops import is_quotient_map, product_lifting_loops
 
 K1 = FiniteGraph.complete(1)
@@ -324,15 +324,15 @@ def test_lifting_four_target_witness_over_k4():
         assert not any(all(g.adjacent(copy, t) for t in witness) for copy in range(m + 1))
 
 
-# block=8 shrinks the product budget to one b row per chunk, and block=64 to
-# a few rows, so the chunked path is compared too; n=5 uses smaller m because
+# block=1 runs the kernel on one b row per block, and block=8 and 64 on a
+# few rows, so the blocked path is compared too; n=5 uses smaller m because
 # the reference loops over every four-target combination in Python, and more
 # seeds because four-target witnesses are rare
-@pytest.mark.parametrize("block", [None, 8, 64])
+@pytest.mark.parametrize("block", [None, 1, 8, 64])
 @pytest.mark.parametrize("n", [3, 4, 5], ids=["n3", "n4", "n5"])
 def test_lifting_block_tuples_match_reference_loop(n, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(builder, "_PRODUCT_BLOCK", block)
+        monkeypatch.setattr(builder, "_LIFTING_WORDS", block)
     outcomes = {}
     for k, top_m in ((1, 16), (2, 12), (3, 9)) if n == 5 else ((1, 11), (2, 24), (3, 30)):
         for m in range(3, top_m + 1):
@@ -358,6 +358,96 @@ def test_lifting_block_tuples_match_reference_loop(n, block, monkeypatch):
         for size in range(2, min(n, 4) if distinct else n):
             least = 1 if (n, distinct, size) == (5, True, 3) else 5
             assert outcomes.get((distinct, size), 0) >= least, (distinct, size, outcomes)
+
+
+# copies counts that cross the 8-copy groups and the points where the kernel
+# drops full rows, then bases whose fibers have 63, 64, 65 and 128 targets
+_EDGE_CASES = [(None, copies) for copies in (8, 9, 33, 41, 57, 71)] + [
+    (8, 8), (4, 32), (7, 9), (1, 63), (1, 64), (1, 65), (5, 13), (2, 64),
+]
+
+
+@pytest.mark.parametrize("k, copies", _EDGE_CASES, ids=[f"k{k}-c{c}" for k, c in _EDGE_CASES])
+def test_lifting_kernel_edges_match_reference_loop(k, copies):
+    m = copies - 1
+    base = random_graph(3, seed=copies) if k is None else FiniteGraph.complete(k)
+    g = sample_product_graph(base, m, seed=copies)
+    i = 0
+    tcols = [t for t in range(g.vertex_count) if base.adjacent(i, t // copies)]
+    last = len(tcols) - 1
+    # plant uncovered pairs and triples whose last target sits at a word
+    # boundary of the fiber's targets, or at the last target
+    graphs = [g]
+    for c in sorted({min(63, last), min(64, last), last}):
+        for tail in ((c - 1, c), (c // 2, c), (0, c // 3, c), (c - 2, c - 1, c)):
+            if min(tail) >= 0 and len(set(tail)) == len(tail):
+                graphs.append(uncover(g, m, i, tuple(tcols[t] for t in tail)))
+    sizes = set()
+    for h in graphs:
+        for n in (3, 4):
+            for distinct in (False, True):
+                rep = check_product_lifting(h, base, m, n, distinct_bases=distinct)
+                assert rep.counterexample == product_lifting_loops(h, base, m, n, distinct)
+                sizes.add(len(rep.counterexample[1]) if rep.counterexample else 0)
+    # the tuple kernel reported counterexamples; few copies leave no level
+    # without one, and many leave few pairs uncovered but for the planted
+    assert sizes & {2, 3}, sizes
+    if copies > 32:
+        assert {0, 2, 3} <= sizes, sizes
+
+
+@pytest.mark.parametrize("block", [None, 1, 8])
+def test_lifting_kernel_rows_without_common_copy(block, monkeypatch):
+    # a (prefix, b) row with no common copy never reaches the kernel through
+    # check_product_lifting, where a smaller tuple fails first; on its own,
+    # such a row misses every target from its start on
+    if block is not None:
+        monkeypatch.setattr(builder, "_LIFTING_WORDS", block)
+    rng = np.random.default_rng(12)
+    for copies, count in ((9, 65), (33, 64), (41, 63), (8, 128), (71, 70)):
+        bits = (rng.random((copies, count)) < 0.9).astype(np.uint8)
+        tables, index = builder._copy_tables(bits)
+        rows = index[:, rng.integers(0, count, 200)] & index[:, rng.integers(0, count, 200)]
+        start = rng.integers(0, count + 1, 200)
+        rows[:, [50, 120]] = 0
+        start[[50, 120]] = [min(63, count - 1), count - 1]
+        chosen = np.unpackbits(rows, axis=0, bitorder="little")[:copies].astype(bool)
+        want = None
+        for r in range(200):
+            missed = ~bits[chosen[:, r]].any(axis=0) & (np.arange(count) >= start[r])
+            if missed.any():
+                want = (r, int(np.argmax(missed)))
+                break
+        assert builder._first_hole(tables, rows, start, count) == want
+        assert want[0] <= 50
+
+
+_LIFTING_PEAK_PROBE = """
+import tracemalloc
+from satgraph.builder import check_product_lifting, sample_product_graph
+from satgraph.towers import extend_tower, new_tower
+
+base = extend_tower(new_tower(3, seed=7)).levels[1]
+g = sample_product_graph(base, 81, seed=1)
+tracemalloc.start()
+holds = check_product_lifting(g, base, 81, 3).holds
+print(holds, g.packed_rows.nbytes, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_n3_lifting_peak_memory_stays_small():
+    # V = 120 * 82 = 9,840 vertices, 11.6 MiB packed; the check keeps one
+    # fiber's tables and a few blocks of rows, not a copy of the level
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIFTING_PEAK_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    holds, packed_bytes, peak = proc.stdout.split()
+    assert holds == "True"  # the check went over every pair
+    assert int(packed_bytes) == 9840 * 154 * 8
+    assert int(peak) <= 0.5 * int(packed_bytes), (int(peak) / 2**20, int(packed_bytes) / 2**20)
 
 
 # -- rejection sampling ---------------------------------------------------------------
