@@ -3,7 +3,9 @@
 Adjacency rows, candidate sets and copy masks are all stored as arrays of
 64-bit words, least significant bit first, so membership tests and
 intersections over thousands of vertices collapse to a handful of word
-operations.
+operations.  The Four Russians kernel at the end (:func:`or_tables`,
+:func:`first_hole`) decides both the lifting check and the n >= 4
+saturation scan.
 """
 
 from __future__ import annotations
@@ -27,14 +29,20 @@ def require_packed_fits(
     """Raise ``error`` when packed rows for graphs of these sizes exceed physical memory.
 
     Callers check before they allocate, so an impossible size fails at once
-    with a message instead of numpy's allocation error.  Physical memory is
-    ``SC_PHYS_PAGES * SC_PAGE_SIZE`` from ``os.sysconf``.
+    with a message instead of numpy's allocation error.
     """
-    packed_bytes = sum(v * word_count(v) * 8 for v in vertex_counts)
+    require_fits(sum(v * word_count(v) * 8 for v in vertex_counts), "packed rows", error)
+
+
+def require_fits(nbytes: int, what: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` when ``nbytes`` bytes of ``what`` exceed physical memory.
+
+    Physical memory is ``SC_PHYS_PAGES * SC_PAGE_SIZE`` from ``os.sysconf``.
+    """
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if packed_bytes > physical:
+    if nbytes > physical:
         raise error(
-            f"{packed_bytes / 2**30:.1f} GiB of packed rows is more than the "
+            f"{nbytes / 2**30:.1f} GiB of {what} is more than the "
             f"{physical / 2**30:.1f} GiB of physical memory"
         )
 
@@ -125,3 +133,75 @@ def _transpose64_stripe(x: np.ndarray) -> None:
         t = ((lo >> shift) ^ hi) & mask
         hi ^= t
         lo ^= t << shift
+
+
+# The Four Russians kernel ORs lookup tables over groups of 8 rows into
+# blocks of at most BLOCK_WORDS words of rows (256 KiB); from _DROP_GROUPS
+# groups on, the rows left without a hole are dropped.
+BLOCK_WORDS = 1 << 15
+_DROP_GROUPS = 4
+# _LOW_MASKS[t] holds the low t bits of a word, t = 0 .. 64
+_LOW_MASKS = np.array([(1 << t) - 1 for t in range(65)], dtype=np.uint64)
+
+
+def or_tables(rows: np.ndarray) -> np.ndarray:
+    """Lookup tables of the ORs of packed rows, [group, subset, word].
+
+    Entry [g, s] is the OR of the rows 8g + j at the bits j of s.  The
+    tables take 256 * 8 bytes per group of 8 rows and word of a row, which
+    is 32 times the rows themselves.
+    """
+    count, w = rows.shape
+    groups = -(-count // 8)
+    grouped = np.zeros((groups * 8, w), dtype=np.uint64)
+    grouped[:count] = rows
+    grouped = grouped.reshape(groups, 8, w)
+    tables = np.zeros((groups, 256, w), dtype=np.uint64)
+    for j in range(8):
+        np.bitwise_or(tables[:, : 1 << j], grouped[:, j, None], out=tables[:, 1 << j : 2 << j])
+    return tables
+
+
+def first_hole(
+    tables: np.ndarray, index: np.ndarray, start: np.ndarray, count: int
+) -> tuple[int, int] | None:
+    """First row r with a bit c, start[r] <= c < count, that its chosen rows miss: (r, c), or None.
+
+    Row r chooses, per group g of 8 rows of :func:`or_tables`, the rows at
+    the bits of ``index[g, r]``, and the OR of the chosen rows is the OR of
+    the table entries ``tables[g, index[g, r]]`` (the method of Four
+    Russians).  Each row starts with the bits below start[r] and past count
+    set, so a hole is a zero bit.  Rows are decided in blocks of at most
+    ``BLOCK_WORDS`` words that reuse their buffers; a row with no hole left
+    after ``_DROP_GROUPS`` or more groups is dropped.
+    """
+    groups, total = index.shape
+    w = tables.shape[2]
+    step = max(1, min(total, BLOCK_WORDS // w))
+    shifts = np.arange(0, 64 * w, 64)
+    tail = ~full_row(count)[-1]
+    low = np.empty((step, w), dtype=np.int64)
+    seen_buf = np.empty((step, w), dtype=np.uint64)
+    picked = np.empty((step, w), dtype=np.uint64)
+    for r0 in range(0, total, step):
+        r1 = min(total, r0 + step)
+        live = np.arange(r0, r1)
+        idx = index[:, r0:r1]
+        np.subtract(start[r0:r1, None], shifts, out=low[: r1 - r0])
+        seen = np.take(_LOW_MASKS, low[: r1 - r0], out=seen_buf[: r1 - r0], mode="clip")
+        seen[:, -1] |= tail
+        for g in range(groups):
+            if g >= _DROP_GROUPS:
+                keep = np.bitwise_and.reduce(seen, axis=1) != _ALL_ONES
+                if not keep.all():
+                    live, idx, seen = live[keep], idx[:, keep], seen[keep]
+                    if not len(live):
+                        break
+            out = picked[: len(live)]
+            np.take(tables[g], idx[g], axis=0, out=out, mode="clip")
+            seen |= out
+        holes = np.bitwise_and.reduce(seen, axis=1) != _ALL_ONES
+        if holes.any():
+            r = int(np.argmax(holes))
+            return int(live[r]), lowest_set_bit(~seen[r])
+    return None

@@ -190,77 +190,16 @@ class LiftingReport:
         return self.holds
 
 
-# The tuple kernel ORs lookup tables over groups of 8 copies into blocks of
-# at most _LIFTING_WORDS words of rows (256 KiB); from _DROP_GROUPS groups on,
-# the rows left without a hole are dropped.
-_LIFTING_WORDS = 1 << 15
-_DROP_GROUPS = 4
-# _LOW_MASKS[t] holds the low t bits of a word, t = 0 .. 64
-_LOW_MASKS = np.array([(1 << t) - 1 for t in range(65)], dtype=np.uint64)
-
-
 def _copy_tables(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables and target index of a copy x target 0/1 matrix.
+    """:func:`_bits.or_tables` of a copy x target 0/1 matrix's rows, and its target index.
 
-    Entry [g, s] of the tables is the OR of the copies' rows, packed over
-    the targets, for the copies 8g + j at the bits j of s; byte [g, t] of
-    the index holds the bits of target t in the copies of group g.
+    Byte [g, t] of the index holds the bits of target t in the copies of
+    group g.
     """
+    # a column selection bits[:, cols] comes out column-major, and packing
+    # its rows is several times slower so
     rows = _bits.pack_bits(np.ascontiguousarray(bits))
-    copies, w = rows.shape
-    groups = -(-copies // 8)
-    grouped = np.zeros((groups * 8, w), dtype=np.uint64)
-    grouped[:copies] = rows
-    grouped = grouped.reshape(groups, 8, w)
-    tables = np.zeros((groups, 256, w), dtype=np.uint64)
-    for j in range(8):
-        np.bitwise_or(tables[:, : 1 << j], grouped[:, j, None], out=tables[:, 1 << j : 2 << j])
-    return tables, np.packbits(bits, axis=0, bitorder="little")
-
-
-def _first_hole(
-    tables: np.ndarray, index: np.ndarray, start: np.ndarray, count: int
-) -> Optional[tuple[int, int]]:
-    """First row r with a target c, start[r] <= c < count, that its copies miss: (r, c), or None.
-
-    Row r's copies are given per group g of 8 by the bits of ``index[g, r]``,
-    and the OR of their rows is the OR of the table entries ``tables[g,
-    index[g, r]]`` (the method of Four Russians).  Each row starts with the
-    targets below start[r] and past count set, so a hole is a zero bit.
-    Rows are decided in blocks of at most ``_LIFTING_WORDS`` words that
-    reuse their buffers; a row with no hole left after ``_DROP_GROUPS`` or
-    more groups is dropped.
-    """
-    groups, total = index.shape
-    w = tables.shape[2]
-    step = max(1, min(total, _LIFTING_WORDS // w))
-    shifts = np.arange(0, 64 * w, 64)
-    tail = ~_bits.full_row(count)[-1]
-    low = np.empty((step, w), dtype=np.int64)
-    seen_buf = np.empty((step, w), dtype=np.uint64)
-    picked = np.empty((step, w), dtype=np.uint64)
-    for r0 in range(0, total, step):
-        r1 = min(total, r0 + step)
-        live = np.arange(r0, r1)
-        idx = index[:, r0:r1]
-        np.subtract(start[r0:r1, None], shifts, out=low[: r1 - r0])
-        seen = np.take(_LOW_MASKS, low[: r1 - r0], out=seen_buf[: r1 - r0], mode="clip")
-        seen[:, -1] |= tail
-        for g in range(groups):
-            if g >= _DROP_GROUPS:
-                keep = np.bitwise_and.reduce(seen, axis=1) != _bits._ALL_ONES
-                if not keep.all():
-                    live, idx, seen = live[keep], idx[:, keep], seen[keep]
-                    if not len(live):
-                        break
-            out = picked[: len(live)]
-            np.take(tables[g], idx[g], axis=0, out=out, mode="clip")
-            seen |= out
-        holes = np.bitwise_and.reduce(seen, axis=1) != _bits._ALL_ONES
-        if holes.any():
-            r = int(np.argmax(holes))
-            return int(live[r]), _bits.lowest_set_bit(~seen[r])
-    return None
+    return _bits.or_tables(rows), np.packbits(bits, axis=0, bitorder="little")
 
 
 def _prefix_batches(count: int, size: int, after: np.ndarray, rows_per_batch: int):
@@ -297,8 +236,8 @@ def _first_uncovered_tuple(
     size in lexicographic order.  For each size the walk runs over the
     prefixes of size-2 targets and over b above each; the copies of row
     (prefix, b) are those adjacent to the prefix and to b, and
-    :func:`_first_hole` finds the first row with a target c >= ``after[b]``
-    that none of them is adjacent to.  With ``distinct_bases`` tuples with
+    :func:`_bits.first_hole` finds the first row with a target c >=
+    ``after[b]`` that none of them is adjacent to.  With ``distinct_bases`` tuples with
     two targets over one base vertex are exempt: since ``t_bases`` is
     sorted, every target must lie above the last target over the base of
     the one before it.
@@ -306,14 +245,14 @@ def _first_uncovered_tuple(
     count = index.shape[1]
     # smallest target allowed to follow each target in a tuple
     after = np.searchsorted(t_bases, t_bases, side="right") if distinct_bases else np.arange(1, count + 1)
-    rows_per_batch = max(1, _LIFTING_WORDS // tables.shape[2])
+    rows_per_batch = max(1, _bits.BLOCK_WORDS // tables.shape[2])
     for size in range(2, n):
         for batch in _prefix_batches(count, size, after, rows_per_batch):
             prefixes = np.array([prefix for prefix, _ in batch], dtype=np.intp).reshape(len(batch), size - 2)
             common = np.bitwise_and.reduce(index[:, prefixes], axis=2)  # [group, prefix]
             owner = np.repeat(np.arange(len(batch)), [count - lo for _, lo in batch])
             b = np.concatenate([np.arange(lo, count) for _, lo in batch])
-            found = _first_hole(tables, index[:, b] & common[:, owner], after[b], count)
+            found = _bits.first_hole(tables, index[:, b] & common[:, owner], after[b], count)
             if found is not None:
                 r, c = found
                 return batch[owner[r]][0] + (int(b[r]), c)

@@ -283,20 +283,10 @@ def find_realizer(g: FiniteGraph, f: TypeLike) -> Optional[int]:
 
 # -- exhaustive saturation checks -------------------------------------------
 
-# Largest blocks the n >= 4 scan materializes, in float32 entries: one block
-# of counts (512 KiB), and one tile of X rows with the screen words they are
-# read from, two entries per 64-bit word (4 MiB).
-_PRODUCT_BLOCK = 1 << 17
-_ROWS_BLOCK = 1 << 20
-
 # The n = 3 scan screens every pair on _SCREEN_COLUMNS columns spread over
-# the vertex range.  The n >= 4 scan counts the realizers of each prefix
-# assignment's pair types on at most _PAIR_SCREEN of its candidate columns,
-# spread evenly over them: in a product level the leading candidates lie in
-# the first fibers only.  Both re-check what their screen misses at full
-# width, in blocks of at most _FALLBACK_WORDS words (1 MiB) of rows.
+# the vertex range, and re-checks what its screen misses at full width, in
+# blocks of at most _FALLBACK_WORDS words (1 MiB) of rows.
 _SCREEN_COLUMNS = 128
-_PAIR_SCREEN = 64
 _FALLBACK_WORDS = 1 << 17
 _ONE = np.uint64(1)
 
@@ -368,16 +358,11 @@ def _missing_type_pairs(g: FiniteGraph, ones_only: bool):
     return None
 
 
-def _spread_columns(cols: np.ndarray, width: int) -> np.ndarray:
-    """``width`` of ``cols`` spread evenly over them, or all of them when fewer."""
-    if len(cols) <= width:
-        return cols
-    return cols[np.arange(width) * len(cols) // width]
-
-
 def _screen_columns(v: int) -> np.ndarray:
-    """The ``_SCREEN_COLUMNS`` columns the n = 3 scan screens on, or all of them."""
-    return _spread_columns(np.arange(v), _SCREEN_COLUMNS)
+    """The ``_SCREEN_COLUMNS`` columns the n = 3 scan screens on, spread evenly, or all of them."""
+    if v <= _SCREEN_COLUMNS:
+        return np.arange(v)
+    return np.arange(_SCREEN_COLUMNS) * v // _SCREEN_COLUMNS
 
 
 def _screen_words(g: FiniteGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -415,36 +400,47 @@ def _first_unrealized(
     return None
 
 
-def _realizer_rows(
-    rows: np.ndarray, full: np.ndarray, vertices: np.ndarray, sign: Union[int, np.ndarray]
-) -> np.ndarray:
+def _realizer_rows(rows: np.ndarray, full: np.ndarray, vertices: np.ndarray, sign: int) -> np.ndarray:
     """Packed realizers of ``sign`` at each of ``vertices``, one row each.
 
-    ``sign`` is one sign for every vertex, or an array of one per vertex.
     Sign 1 is the adjacency row with the vertex's own bit cleared, sign 0
     the non-adjacency row, which never holds the vertex itself.
     """
-    if np.ndim(sign):
-        out = np.where(sign[:, None] == 1, rows[vertices], ~rows[vertices] & full)
-    else:
-        out = rows[vertices] if sign else ~rows[vertices] & full
+    out = rows[vertices] if sign else ~rows[vertices] & full
     out[np.arange(len(vertices)), vertices >> 6] &= ~(_ONE << (vertices & 63).astype(np.uint64))
     return out
 
 
 def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
     # n >= 4: subsets of size n-1 are a lexicographic prefix P of size n-3
-    # plus a pair b < c above it; the whole (b, c) plane of one assignment
-    # of P is decided at once by :func:`_first_missing_pair`.  The scan
-    # order is (P, b, c, bits, sign), and the smallest failing (A, f) is
-    # returned.
+    # plus a pair b < c above it.  The scan order is (P, b, c, bits, sign),
+    # and the smallest failing (A, f) is returned.
+    #
+    # The whole (b, c) plane of one assignment of P, one bit of b and one
+    # sign of c is decided by one call of the Four Russians kernel
+    # :func:`_bits.first_hole`.  Its tables, built once per scan and sign,
+    # hold the ORs of the realizer rows of sign at every vertex over groups
+    # of 8 vertices x: bit c of row x is set when x realizes sign at c.  Row
+    # b of a call picks the x that are candidates of the assignment and
+    # realize bit at b; a zero bit c > b of their OR is a type {b: bit,
+    # c: sign} with no realizer.  Realizing is symmetric, so the bits of the
+    # x of group g at b are byte g of b's own realizer row.
     v = g.vertex_count
     rows = g.packed_rows
     full = _bits.full_row(v)
+    signs = (1,) if ones_only else (0, 1)
+    groups = -(-v // 8)
+    _bits.require_fits(len(signs) * groups * 256 * len(full) * 8, "lookup tables")
+    tables, index = {}, {}
+    for sign in signs:
+        realizers = _realizer_rows(rows, full, np.arange(v), sign)
+        tables[sign] = _bits.or_tables(realizers)
+        index[sign] = np.ascontiguousarray(realizers.view(np.uint8)[:, :groups].T)
     for prefix in itertools.combinations(range(v), n - 3):
         lo = prefix[-1] + 1
         if lo > v - 2:
             continue
+        start = np.arange(lo + 1, v)
         best = None
         assignments = [(1,) * (n - 3)] if ones_only else itertools.product((0, 1), repeat=n - 3)
         for bits in assignments:
@@ -453,106 +449,20 @@ def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
                 cand &= rows[a] if b else ~rows[a] & full
             for a in prefix:
                 _bits.clear_bit_in_row(cand, a)
-            found = _first_missing_pair(g, lo, cand, ones_only)
-            if found is not None:
-                b, c, bit, sign = found
-                key = (b, c, bits + (bit,), sign)
-                if best is None or key < best:
-                    best = key
+            picks = cand.view(np.uint8)[:groups, None]
+            for bit in signs:
+                chosen = index[bit][:, lo : v - 1] & picks
+                for sign in signs:
+                    found = _bits.first_hole(tables[sign], chosen, start, v)
+                    if found is not None:
+                        key = (lo + found[0], found[1], bits + (bit,), sign)
+                        if best is None or key < best:
+                            best = key
         if best is not None:
             b, c, bits, sign = best
             subset = prefix + (b, c)
             return subset, TypeSpec(tuple(zip(subset, bits + (sign,))))
     return None
-
-
-def _first_missing_pair(g: FiniteGraph, lo: int, cand: np.ndarray, ones_only: bool):
-    """Smallest (b, c, bit, sign) with lo <= b < c whose type has no realizer in cand.
-
-    X stacks, for every vertex u >= lo, its non-adjacency row and its
-    adjacency row with the loop cleared, both restricted to a screen of at
-    most ``_PAIR_SCREEN`` columns spread evenly over ``cand`` (see
-    :func:`_type_rows`); entry ((b, bit), (c, sign)) of X @ X.T then counts
-    the realizers on the screen, other than b and c, of the type
-    {b: bit, c: sign}.  The counts are sums of at most V products of 0/1
-    values, so float32 holds them exactly.  Only a type counted 0 can lack
-    a realizer, and each such type is re-checked on the full packed rows
-    (:func:`_first_unrealized_pair`).  X is built in tiles of c rows, at
-    most ``_ROWS_BLOCK`` entries with their screen words, and each tile is
-    multiplied by chunks of no more b rows, at most ``_PRODUCT_BLOCK``
-    counts at a time; a later tile is only searched below the smallest
-    failing b found so far.
-    """
-    v = g.vertex_count
-    cols = _spread_columns(np.nonzero(_bits.unpack_rows(cand, v))[0], _PAIR_SCREEN)
-    signs = np.array((1,) if ones_only else (0, 1))
-    ns = len(signs)
-    tile = max(2, _ROWS_BLOCK // max(1, (ns + 2) * len(cols)))
-    best = None
-    for c0 in range(lo, v, tile):
-        c1 = min(v, c0 + tile)
-        xc = _type_rows(g, c0, c1, cols, ones_only)
-        b_end = c1 - 1 if best is None else min(c1 - 1, best[0])
-        step = max(1, min(tile, _PRODUCT_BLOCK // (ns * ns * (c1 - c0))))
-        for b0 in range(lo, b_end, step):
-            b1 = min(b_end, b0 + step)
-            xb = xc[:, b0 - c0 : b1 - c0] if b0 >= c0 else _type_rows(g, b0, b1, cols, ones_only)
-            cs = max(c0, b0 + 1)  # no c at or below the chunk's first b
-            counts = xb.reshape(ns * (b1 - b0), -1) @ xc[:, cs - c0 :].transpose(0, 2, 1)
-            counts = counts.reshape(ns, ns, b1 - b0, c1 - cs)  # [sign, bit, b, c]
-            # entries with c <= b, all among the first b1 - cs columns, are
-            # no pair b < c: count them as realized
-            low = np.arange(cs, min(b1, c1))
-            np.copyto(counts[..., : len(low)], 1, where=low <= np.arange(b0, b1)[:, None])
-            if counts.min() > 0:
-                continue
-            # suspects in scan order: b, then c, then bit, then sign
-            i, j, bit, sign = np.nonzero(counts.transpose(2, 3, 1, 0) == 0)
-            k = _first_unrealized_pair(g, cand, b0 + i, signs[bit], cs + j, signs[sign])
-            if k is not None:
-                best = (b0 + int(i[k]), cs + int(j[k]), int(signs[bit[k]]), int(signs[sign[k]]))
-                break
-    return best
-
-
-def _first_unrealized_pair(
-    g: FiniteGraph, cand: np.ndarray, b: np.ndarray, bit: np.ndarray, c: np.ndarray, sign: np.ndarray
-) -> Optional[int]:
-    """First i whose type {b[i]: bit[i], c[i]: sign[i]} has no realizer in ``cand``, or None.
-
-    Checks the full rows, ``_FALLBACK_WORDS`` words of each operand at a time.
-    """
-    rows = g.packed_rows
-    full = _bits.full_row(g.vertex_count)
-    step = max(1, _FALLBACK_WORDS // len(full))
-    for s0 in range(0, len(b), step):
-        s = slice(s0, s0 + step)
-        hit = _realizer_rows(rows, full, b[s], bit[s])
-        hit &= _realizer_rows(rows, full, c[s], sign[s])
-        hit &= cand
-        ok = hit.any(axis=1)
-        if not ok.all():
-            return s0 + int(np.argmin(ok))
-    return None
-
-
-def _type_rows(g: FiniteGraph, r0: int, r1: int, cols: np.ndarray, ones_only: bool) -> np.ndarray:
-    """Realizer indicators of rows r0..r1-1 over ``cols``, float32 [bit, row, col].
-
-    Bit 1 is the adjacency row with the loop cleared, bit 0 (left out when
-    ``ones_only``) the non-adjacency row, so neither counts the row itself.
-    The bits are read from the packed word of each screen column only.
-    """
-    x = np.empty((1 if ones_only else 2, r1 - r0, len(cols)), dtype=np.float32)
-    words = g.packed_rows[r0:r1, cols >> 6]
-    words >>= (cols & 63).astype(np.uint64)
-    words &= _ONE
-    x[-1] = words
-    if not ones_only:
-        np.subtract(1, x[-1], out=x[0])
-    own = np.nonzero((cols >= r0) & (cols < r1))[0]
-    x[-1, cols[own] - r0, own] = 0
-    return x
 
 
 def _missing_type(g: FiniteGraph, n: int, ones_only: bool):

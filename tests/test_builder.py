@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satgraph import builder
+from satgraph import _bits, builder
 from satgraph.builder import (
     AttemptsExhausted,
     attempt_seed,
@@ -332,7 +332,7 @@ def test_lifting_four_target_witness_over_k4():
 @pytest.mark.parametrize("n", [3, 4, 5], ids=["n3", "n4", "n5"])
 def test_lifting_block_tuples_match_reference_loop(n, block, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(builder, "_LIFTING_WORDS", block)
+        monkeypatch.setattr(_bits, "BLOCK_WORDS", block)
     outcomes = {}
     for k, top_m in ((1, 16), (2, 12), (3, 9)) if n == 5 else ((1, 11), (2, 24), (3, 30)):
         for m in range(3, top_m + 1):
@@ -402,7 +402,7 @@ def test_lifting_kernel_rows_without_common_copy(block, monkeypatch):
     # check_product_lifting, where a smaller tuple fails first; on its own,
     # such a row misses every target from its start on
     if block is not None:
-        monkeypatch.setattr(builder, "_LIFTING_WORDS", block)
+        monkeypatch.setattr(_bits, "BLOCK_WORDS", block)
     rng = np.random.default_rng(12)
     for copies, count in ((9, 65), (33, 64), (41, 63), (8, 128), (71, 70)):
         bits = (rng.random((copies, count)) < 0.9).astype(np.uint8)
@@ -418,7 +418,7 @@ def test_lifting_kernel_rows_without_common_copy(block, monkeypatch):
             if missed.any():
                 want = (r, int(np.argmax(missed)))
                 break
-        assert builder._first_hole(tables, rows, start, count) == want
+        assert _bits.first_hole(tables, rows, start, count) == want
         assert want[0] <= 50
 
 

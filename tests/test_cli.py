@@ -209,6 +209,18 @@ def test_verify_oversized_level_malformed(tmp_path, capsys):
     assert "malformed input" in err and "physical memory" in err and "Traceback" not in err
 
 
+def test_verify_refuses_scan_tables_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # with 1 MiB of physical memory, the n=4 level of V = 700 fits (62 KB of
+    # packed rows), but the saturation scan's lookup tables (2 x 2 MB) do not
+    level1 = sample_product_graph(FiniteGraph.complete(4), 174, seed=0)
+    path = tmp_path / "t.json"
+    serialize.save_tower(Tower(4, 0, (FiniteGraph.complete(4), level1), (174,)), str(path))
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.__getitem__)
+    code, _, err = run(["verify", "--in", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert "lookup tables" in err and "physical memory" in err and "Traceback" not in err
+
+
 def _redump(text: str, **dumps_options) -> str:
     return json.dumps(json.loads(text), **dumps_options)
 

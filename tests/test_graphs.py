@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satgraph import graphs
+from satgraph import _bits, graphs
 from satgraph.builder import sample_product_graph
 from satgraph.graphs import (
     FiniteGraph,
@@ -348,21 +348,17 @@ def scan_cases():
         yield random_graph(12, seed=seed, edge_prob=float(rng.uniform(0.7, 0.95))), 5
 
 
-# Shrunk budgets split the (b, c) plane into several tiles of c rows and
-# several chunks of b rows per tile (one row each at (8, 8)), so the tiled
-# path is compared too.  A 4-column screen counts 0 for many realized types,
-# so the exact re-check decides most suspects.
+# A shrunk block splits each kernel call over the (b, c) plane into several
+# blocks of about 10 to 30 b rows, so the blocked path is compared too.
 BLOCKS = {
     "default": {},
-    "one-row": {"_PRODUCT_BLOCK": 8, "_ROWS_BLOCK": 8},
-    "tiled": {"_PRODUCT_BLOCK": 120, "_ROWS_BLOCK": 2000},
-    "screen-4": {"_PAIR_SCREEN": 4},
+    "blocked": {"BLOCK_WORDS": 32},
 }
 
 
 def shrink_blocks(monkeypatch, blocks):
     for name, value in BLOCKS[blocks].items():
-        monkeypatch.setattr(graphs, name, value)
+        monkeypatch.setattr(_bits, name, value)
 
 
 @pytest.mark.parametrize("blocks", list(BLOCKS))
@@ -379,7 +375,7 @@ def test_block_scan_matches_reference_loop(blocks, monkeypatch):
     assert min(verdicts.values()) >= 10
 
 
-@pytest.mark.parametrize("blocks", ["default", "tiled", "screen-4"])
+@pytest.mark.parametrize("blocks", list(BLOCKS))
 @pytest.mark.parametrize("pattern", range(8))
 def test_block_scan_finds_planted_missing_type(pattern, blocks, monkeypatch):
     # move every realizer of one type over a late triple to the opposite
@@ -404,12 +400,12 @@ def test_block_scan_finds_planted_missing_type(pattern, blocks, monkeypatch):
         assert weak[0] <= subset
 
 
-# -- the n >= 4 screen and its full-width re-check ------------------------------
+# -- n >= 4 types realized only far out in the candidates ----------------------
 
 
 @pytest.fixture(scope="module")
 def n4_graph():
-    """Adjacency of a 4-saturated random graph; a prefix has about 100 candidates for 64 screen columns."""
+    """Adjacency of a 4-saturated random graph; a prefix has about 100 candidates."""
     g = random_graph(200, seed=13)
     assert is_n_saturated(g, 4).holds
     return dense_adjacency(g)
@@ -418,17 +414,17 @@ def n4_graph():
 # Edges a-b and a-c are set to the bit of a, so b and c lie in the scan's
 # candidates for the prefix {a: bit of a}, and edge b-c is set, so for a
 # type with bit 1 at both b and c each would pass for a realizer of it if
-# the re-check kept its own bit.
+# the scan kept its own bit.
 N4_TRIPLE = (120, 160, 185)
 
 
 def n4_screen_miss_graph(dense: np.ndarray, pattern: int, keep_outside: bool):
     """Move the realizers of one type over N4_TRIPLE to the opposite bit at c.
 
-    With ``keep_outside`` only the realizers on the screen columns of the
-    prefix {a: bit of a} move, so the type keeps the realizers off the
-    screen and nothing else.  Row a does not change, so neither does the
-    screen.
+    With ``keep_outside`` only the realizers on the :func:`n4_screen`
+    columns of the prefix {a: bit of a} move, so the type keeps the
+    realizers off them and nothing else.  Row a does not change, so neither
+    do those columns.
     """
     a, b, c = N4_TRIPLE
     bits = ((pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1)
@@ -446,10 +442,16 @@ def n4_screen_miss_graph(dense: np.ndarray, pattern: int, keep_outside: bool):
 
 
 def n4_screen(dense: np.ndarray, bit_a: int) -> np.ndarray:
-    """The screen columns of the prefix {a: bit_a}, a the first vertex of N4_TRIPLE."""
+    """64 of the candidates of the prefix {a: bit_a}, spread evenly over them.
+
+    a is the first vertex of N4_TRIPLE.  A scan that counted realizers on a
+    sample of candidate columns like this one would find none for the type
+    that :func:`n4_screen_miss_graph` moves off them.
+    """
     a = N4_TRIPLE[0]
     cand = np.flatnonzero(dense[a] == bit_a)
-    return graphs._spread_columns(cand[cand != a], graphs._PAIR_SCREEN)
+    cand = cand[cand != a]
+    return cand[np.arange(64) * len(cand) // 64] if len(cand) > 64 else cand
 
 
 N4_PATTERNS = pytest.mark.parametrize("pattern", [0, 3, 6, 7])
@@ -459,7 +461,7 @@ N4_PATTERNS = pytest.mark.parametrize("pattern", [0, 3, 6, 7])
 def test_n4_fallback_rescues_type_realized_off_screen(pattern, n4_graph):
     g, f = n4_screen_miss_graph(n4_graph, pattern, keep_outside=True)
     cols = n4_screen(dense_adjacency(g), pattern >> 2)
-    assert len(cols) == graphs._PAIR_SCREEN
+    assert len(cols) == 64
     assert not any(realizes(g, int(x), f) for x in cols if x not in N4_TRIPLE)
     assert find_realizer(g, f) is not None
     assert scan_missing_type(g, 4, ones_only=False) is None
