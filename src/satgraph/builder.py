@@ -22,7 +22,13 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _bits
-from .graphs import FiniteGraph, is_n_saturated, is_weakly_n_saturated
+from .graphs import (
+    FiniteGraph,
+    _missing_type_collapsed,
+    _scan_table_bytes,
+    is_n_saturated,
+    is_weakly_n_saturated,
+)
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -265,6 +271,37 @@ def _fiber_union(g: FiniteGraph, copies: int) -> np.ndarray:
     return np.bitwise_or.reduce(rows.reshape(len(rows) // copies, copies, -1), axis=1)
 
 
+def _cover_matrix(union: np.ndarray, v_tgt: int, copies: int) -> np.ndarray:
+    v_src = v_tgt * copies
+    cover = np.empty((v_tgt, v_tgt), dtype=bool)
+    chunk = max(1, (1 << 24) // max(1, v_src))
+    for r0 in range(0, v_tgt, chunk):
+        r1 = min(v_tgt, r0 + chunk)
+        bits = _bits.unpack_rows(union[r0:r1], v_src)
+        cover[r0:r1] = bits.reshape(r1 - r0, v_tgt, copies).any(axis=2)
+    return cover
+
+
+def _check_division_quotient(src: FiniteGraph, tgt: FiniteGraph, copies: int) -> Optional[str]:
+    """Quotient-map check for a division bond; None when it passes.
+
+    Some pair of fibers carries an edge exactly when the base pair must be
+    adjacent (edge preservation) and conversely every base edge must be
+    covered (strictness); surjectivity is structural for fiber maps.
+    """
+    union = _fiber_union(src, copies)
+    cover = _cover_matrix(union, tgt.vertex_count, copies)
+    adj = _bits.unpack_rows(tgt.packed_rows, tgt.vertex_count).astype(bool)
+    if np.array_equal(cover, adj):
+        return None
+    diff = cover != adj
+    flat = int(np.argmax(diff))
+    i, j = divmod(flat, tgt.vertex_count)
+    if cover[i, j]:
+        return f"an edge between fibers {i} and {j} maps onto a non-edge"
+    return f"edge ({i},{j}) has no edge between its fibers"
+
+
 def check_product_lifting(
     g: FiniteGraph,
     base: FiniteGraph,
@@ -355,29 +392,64 @@ def build_extension(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
-    if not is_weakly_n_saturated(base, n).holds:
+    # an n-saturated base is weakly n-saturated too; at n = 3 its verdict
+    # lets the samples over it be scanned by the lifting lemma
+    base_saturated = n == 3 and is_n_saturated(base, n).holds
+    if not base_saturated and not is_weakly_n_saturated(base, n).holds:
         raise ValueError("base graph must be weakly n-saturated")
     if m is None:
         m = minimal_certified_m(n, base.vertex_count)
     if m < 1:
         raise ValueError("m must be at least 1")
-    return _first_accepted(n, base, seed, m, max_attempts)
+    return _first_accepted(n, base, seed, m, max_attempts, base_saturated)
 
 
 def _first_accepted(
-    n: int, base: FiniteGraph, seed: int, m: int, attempts: int, known: Optional[FiniteGraph] = None
+    n: int,
+    base: FiniteGraph,
+    seed: int,
+    m: int,
+    attempts: int,
+    base_saturated: bool,
+    known: Optional[FiniteGraph] = None,
 ) -> tuple[FiniteGraph, int]:
     """Build's acceptance loop: the first seeded sample that is n-saturated and lifts.
 
     Returns the sample and the attempts it took.  A sample equal to
     ``known``, a graph the caller has already found n-saturated, skips the
-    saturation scan.  Raises :class:`AttemptsExhausted` when none of
-    ``attempts`` attempts is accepted.
+    saturation scan.  ``base_saturated`` says whether ``base`` is
+    n-saturated.  At n = 3 over such a base, the repeats-allowed lifting
+    check runs first (it implies the distinct-bases one), and a sample
+    whose bond is a quotient map is scanned only over the pairs inside one
+    fiber: the lifting lemma in the README.  Raises
+    :class:`AttemptsExhausted` when none of ``attempts`` attempts is
+    accepted, and ``ValueError`` before the first sample when the n >= 4
+    scan's tables would not fit in physical memory.
     """
+    _bits.require_fits(_scan_table_bytes(base.vertex_count * (m + 1), n), "lookup tables")
+    lemma = n == 3 and base_saturated
     for attempt in range(attempts):
         graph = None  # release the rejected sample before drawing anew
         graph = sample_product_graph(base, m, attempt_seed(seed, attempt))
-        saturated = graph == known or is_n_saturated(graph, n).holds
-        if saturated and check_product_lifting(graph, base, m, n).holds:
+        if lemma:
+            accepted = check_product_lifting(graph, base, m, n).holds and (
+                graph == known or _saturated_by_lemma(graph, base, m)
+            )
+        else:
+            saturated = graph == known or is_n_saturated(graph, n).holds
+            accepted = saturated and check_product_lifting(graph, base, m, n).holds
+        if accepted:
             return graph, attempt + 1
     raise AttemptsExhausted(attempts, m)
+
+
+def _saturated_by_lemma(graph: FiniteGraph, base: FiniteGraph, m: int) -> bool:
+    """Whether a sample over a 3-saturated base that passed build's lifting check is 3-saturated.
+
+    When the bond is a quotient map, the lifting lemma (README) leaves only
+    the pairs inside one fiber to scan; otherwise the whole sample is
+    scanned.
+    """
+    if _check_division_quotient(graph, base, m + 1) is None:
+        return _missing_type_collapsed(graph, m + 1) is None
+    return is_n_saturated(graph, 3).holds

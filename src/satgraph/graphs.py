@@ -358,6 +358,37 @@ def _missing_type_pairs(g: FiniteGraph, ones_only: bool):
     return None
 
 
+def _missing_type_collapsed(g: FiniteGraph, copies: int):
+    # n == 3 over only the pairs {a, c} inside one fiber, the blocks of
+    # ``copies`` consecutive vertices of a product level: the smallest failing
+    # (A, f) in the order of _missing_type_pairs, which is that scan's answer
+    # whenever every type over two fibers has a realizer (the lifting lemma
+    # in the README).  The screen is the same; one fiber's pairs are screened
+    # at once, for every (bit of a, sign of c), and the pairs it misses are
+    # re-checked at full width.
+    v = g.vertex_count
+    rows = g.packed_rows
+    full = _bits.full_row(v)
+    screens = np.stack(_screen_words(g))  # [sign, word, vertex]
+    above = np.triu(np.ones((copies, copies), dtype=bool), 1)
+    for lo in range(0, v, copies):
+        block = screens[:, :, lo : lo + copies]
+        # hits[bit, sign, a, c]: a screen column realizes {lo + a: bit, lo + c: sign}
+        hits = np.bitwise_or.reduce(block[:, None, :, :, None] & block[None, :, :, None, :], axis=2)
+        missing = (hits == 0) & above
+        for a in np.flatnonzero(missing.any(axis=(0, 1, 3))):
+            best = None
+            for bit, sign in itertools.product((0, 1), repeat=2):
+                suspects = lo + np.flatnonzero(missing[bit, sign, a])
+                c = _first_unrealized(rows, full, lo + a, bit, suspects, sign) if len(suspects) else None
+                if c is not None and (best is None or (c, bit, sign) < best):
+                    best = (c, bit, sign)
+            if best is not None:
+                c, bit, sign = best
+                return (lo + int(a), c), TypeSpec(((lo + int(a), bit), (c, sign)))
+    return None
+
+
 def _screen_columns(v: int) -> np.ndarray:
     """The ``_SCREEN_COLUMNS`` columns the n = 3 scan screens on, spread evenly, or all of them."""
     if v <= _SCREEN_COLUMNS:
@@ -430,7 +461,7 @@ def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
     full = _bits.full_row(v)
     signs = (1,) if ones_only else (0, 1)
     groups = -(-v // 8)
-    _bits.require_fits(len(signs) * groups * 256 * len(full) * 8, "lookup tables")
+    _bits.require_fits(_scan_table_bytes(v, n, ones_only), "lookup tables")
     tables, index = {}, {}
     for sign in signs:
         realizers = _realizer_rows(rows, full, np.arange(v), sign)
@@ -463,6 +494,13 @@ def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
             subset = prefix + (b, c)
             return subset, TypeSpec(tuple(zip(subset, bits + (sign,))))
     return None
+
+
+def _scan_table_bytes(v: int, n: int, ones_only: bool = False) -> int:
+    """Bytes of the lookup tables that the n >= 4 scan of a V-vertex graph builds; 0 for n < 4."""
+    if n < 4 or v < n - 1:
+        return 0
+    return (1 if ones_only else 2) * -(-v // 8) * 256 * _bits.word_count(v) * 8
 
 
 def _missing_type(g: FiniteGraph, n: int, ones_only: bool):

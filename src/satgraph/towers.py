@@ -14,15 +14,21 @@ depth".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _bits
-from .builder import _first_accepted, _fiber_union, build_extension, check_product_lifting
-from .graphs import FiniteGraph, TypeSpec, find_realizer, is_n_saturated
+from .builder import (
+    LiftingReport,
+    _check_division_quotient,
+    _first_accepted,
+    build_extension,
+    check_product_lifting,
+)
+from .graphs import FiniteGraph, TypeSpec, _missing_type_collapsed, find_realizer, is_n_saturated
 
 
 # Tower seeds are 64-bit unsigned integers; the file format holds no others.
@@ -176,14 +182,14 @@ def matches_seed(t: Tower) -> bool:
     above 0 is known to be n-saturated.  Step d runs build's own attempt
     loop over the stored level d, which equals its own replay by induction,
     with the stored level d+1 passed as known saturated; the tower is the
-    seed's when that loop accepts exactly the stored level d+1.  Raises
-    :class:`~satgraph.builder.AttemptsExhausted` when ``REPLAY_ATTEMPTS``
-    attempts accept nothing.
+    seed's when that loop accepts exactly the stored level d+1.  Level d is
+    passed as n-saturated when d >= 1, by the precondition.  Raises :class:`~satgraph.builder.AttemptsExhausted`
+    when ``REPLAY_ATTEMPTS`` attempts accept nothing.
     """
     for d, m in enumerate(t.per_level_m):
         stored = t.levels[d + 1]
         seed = level_build_seed(t.seed, d)
-        accepted, _ = _first_accepted(t.n, t.levels[d], seed, m, REPLAY_ATTEMPTS, known=stored)
+        accepted, _ = _first_accepted(t.n, t.levels[d], seed, m, REPLAY_ATTEMPTS, d > 0, known=stored)
         if accepted != stored:
             return False
     return True
@@ -234,37 +240,6 @@ class TowerReport:
         return self.ok
 
 
-def _cover_matrix(union: np.ndarray, v_tgt: int, copies: int) -> np.ndarray:
-    v_src = v_tgt * copies
-    cover = np.empty((v_tgt, v_tgt), dtype=bool)
-    chunk = max(1, (1 << 24) // max(1, v_src))
-    for r0 in range(0, v_tgt, chunk):
-        r1 = min(v_tgt, r0 + chunk)
-        bits = _bits.unpack_rows(union[r0:r1], v_src)
-        cover[r0:r1] = bits.reshape(r1 - r0, v_tgt, copies).any(axis=2)
-    return cover
-
-
-def _check_division_quotient(src: FiniteGraph, tgt: FiniteGraph, copies: int) -> Optional[str]:
-    """Quotient-map check for a division bond; None when it passes.
-
-    Some pair of fibers carries an edge exactly when the base pair must be
-    adjacent (edge preservation) and conversely every base edge must be
-    covered (strictness); surjectivity is structural for fiber maps.
-    """
-    union = _fiber_union(src, copies)
-    cover = _cover_matrix(union, tgt.vertex_count, copies)
-    adj = _bits.unpack_rows(tgt.packed_rows, tgt.vertex_count).astype(bool)
-    if np.array_equal(cover, adj):
-        return None
-    diff = cover != adj
-    flat = int(np.argmax(diff))
-    i, j = divmod(flat, tgt.vertex_count)
-    if cover[i, j]:
-        return f"an edge between fibers {i} and {j} maps onto a non-edge"
-    return f"edge ({i},{j}) has no edge between its fibers"
-
-
 def verify_tower(t: Tower) -> TowerReport:
     """Re-check every tower invariant from the raw data, stopping at the first failure.
 
@@ -282,6 +257,13 @@ def verify_tower(t: Tower) -> TowerReport:
     their projections one level down.  The repeats-allowed form is build's
     acceptance rule; it decides which sample becomes the tower, so it
     cannot change without changing towers.
+
+    At n = 3, the quotient and lifting checks of the bond below a level
+    above 1 run before that level's saturation, and are reused in their
+    own place in the order.  When both pass, the lifting lemma (README)
+    leaves only the pairs inside one fiber to scan; when either fails, the
+    whole level is scanned.  Either way the reported check and
+    counterexample are the full scan's.
     """
     checks: list[tuple[str, bool, str]] = []
 
@@ -310,24 +292,38 @@ def verify_tower(t: Tower) -> TowerReport:
             )
     passed("structure")
 
+    @functools.cache
+    def quotient(d: int) -> Optional[str]:
+        return _check_division_quotient(t.levels[d + 1], t.levels[d], t.per_level_m[d] + 1)
+
+    @functools.cache
+    def lifting(d: int) -> LiftingReport:
+        return check_product_lifting(t.levels[d + 1], t.levels[d], t.per_level_m[d], t.n, distinct_bases=True)
+
     for d in range(1, len(t.levels)):
-        rep = is_n_saturated(t.levels[d], t.n)
-        if not rep.holds:
-            subset, f = rep.counterexample
+        # level d-1 >= 1 passed this loop; with a bond below level d that is a
+        # quotient and lifts, the lifting lemma leaves only the pairs inside
+        # a fiber to scan
+        if t.n == 3 and d >= 2 and quotient(d - 1) is None and lifting(d - 1).holds:
+            missing = _missing_type_collapsed(t.levels[d], t.per_level_m[d - 1] + 1)
+        else:
+            missing = is_n_saturated(t.levels[d], t.n).counterexample
+        if missing is not None:
+            subset, f = missing
             return failed(
                 f"saturation[level {d}]",
                 f"type {f.as_dict()} over {subset} has no realizer",
             )
         passed(f"saturation[level {d}]")
 
-    for d, m in enumerate(t.per_level_m):
-        detail = _check_division_quotient(t.levels[d + 1], t.levels[d], m + 1)
+    for d in range(len(t.per_level_m)):
+        detail = quotient(d)
         if detail is not None:
             return failed(f"quotient[bond {d}]", detail)
         passed(f"quotient[bond {d}]")
 
-    for d, m in enumerate(t.per_level_m):
-        rep = check_product_lifting(t.levels[d + 1], t.levels[d], m, t.n, distinct_bases=True)
+    for d in range(len(t.per_level_m)):
+        rep = lifting(d)
         if not rep.holds:
             i, targets = rep.counterexample
             return failed(

@@ -256,6 +256,18 @@ def test_sample_rejects_size_beyond_physical_memory():
         sample_product_graph(K2, 5_000_000 - 1, seed=1)
 
 
+def test_build_refuses_scan_tables_before_sampling(monkeypatch):
+    # with 1 MiB of physical memory the n=4 sample at m=174 (V = 700, 62 KB
+    # packed) would fit, but the saturation scan's tables (2 x 2 MB) do not
+    def sample(*args):
+        raise AssertionError("sampled before the scan tables were refused")
+
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.__getitem__)
+    monkeypatch.setattr(builder, "sample_product_graph", sample)
+    with pytest.raises(ValueError, match="lookup tables"):
+        build_extension(4, FiniteGraph.complete(4), seed=0, m=174)
+
+
 # -- fiber lifting check -----------------------------------------------------------
 
 

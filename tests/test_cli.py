@@ -221,6 +221,20 @@ def test_verify_refuses_scan_tables_beyond_physical_memory(tmp_path, capsys, mon
     assert "lookup tables" in err and "physical memory" in err and "Traceback" not in err
 
 
+def test_build_refuses_scan_tables_before_sampling(tmp_path, capsys, monkeypatch):
+    # the same 1 MiB: the build stops before its first sample and writes nothing
+    def sample(*args):
+        raise AssertionError("sampled before the scan tables were refused")
+
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}.__getitem__)
+    monkeypatch.setattr(builder, "sample_product_graph", sample)
+    path = tmp_path / "t.json"
+    code, _, err = run(["build", "--n", "4", "--depth", "1", "--m", "174", "--out", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert "lookup tables" in err and "physical memory" in err and "Traceback" not in err
+    assert not path.exists()
+
+
 def _redump(text: str, **dumps_options) -> str:
     return json.dumps(json.loads(text), **dumps_options)
 

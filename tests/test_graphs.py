@@ -528,6 +528,20 @@ def test_n3_oracle_counts_match_find_realizer():
             assert counts[pattern, a, b] == brute
 
 
+def n3_oracle_collapsed(g: FiniteGraph, copies: int):
+    """:func:`n3_oracle_counterexample` over only the pairs inside one fiber of ``copies`` vertices."""
+    v = g.vertex_count
+    fiber = np.arange(v) // copies
+    inside = np.triu(fiber[:, None] == fiber[None, :], 1)
+    missing = (n3_realizer_counts(g) == 0) & inside
+    bad = missing.any(axis=(0, 2))
+    if not bad.any():
+        return None
+    a = int(np.argmax(bad))
+    b, pattern = divmod(int(np.argmax(missing[:, a, :].T)), 4)
+    return (a, b), TypeSpec(((a, pattern >> 1), (b, pattern & 1)))
+
+
 @pytest.mark.parametrize(
     "v, edge_prob, seed",
     [(40, 0.5, 0), (60, 0.7, 1), (80, 0.3, 2), (300, 0.5, 3), (600, 0.1, 4), (2500, 0.5, 5)],
@@ -535,6 +549,23 @@ def test_n3_oracle_counts_match_find_realizer():
 def test_n3_scan_matches_oracle(v, edge_prob, seed):
     g = random_graph(v, seed=seed, edge_prob=edge_prob)
     assert is_n_saturated(g, 3).counterexample == n3_oracle_counterexample(g)
+
+
+@pytest.mark.parametrize(
+    "v, copies, edge_prob, seed",
+    [
+        (40, 4, 0.5, 0),
+        (60, 5, 0.7, 1),
+        (80, 8, 0.3, 2),
+        (300, 3, 0.5, 3),
+        (600, 6, 0.1, 4),
+        (630, 70, 0.5, 5),
+        (36, 6, 0.85, 7),
+    ],
+)
+def test_n3_collapsed_scan_matches_oracle(v, copies, edge_prob, seed):
+    g = random_graph(v, seed=seed, edge_prob=edge_prob)
+    assert graphs._missing_type_collapsed(g, copies) == n3_oracle_collapsed(g, copies)
 
 
 @pytest.mark.parametrize("pattern", range(4))
@@ -576,22 +607,24 @@ def n3_product_level():
 
 # Neither vertex is a screen column.  Edge (a, c) is set to the bit of a, so
 # for a sign-1 type c itself would pass for a realizer if the full-width
-# check did not leave it out.
+# check did not leave it out.  The second pair, chosen the same way, lies
+# inside one fiber (of 3 copies), where the collapsed scan looks.
 N3_PAIR = (200, 301)
+N3_FIBER_PAIR = (214, 215)
 
 
-def screen_miss_graph(dense: np.ndarray, pattern: int, keep_outside: bool):
-    """Move the realizers of one type over N3_PAIR to the opposite bit at c.
+def screen_miss_graph(dense: np.ndarray, pattern: int, keep_outside: bool, pair=N3_PAIR):
+    """Move the realizers of one type over ``pair`` to the opposite bit at c.
 
     With ``keep_outside`` only the realizers on screen columns move, so
     the type keeps the realizers off the screen and nothing else.
     """
-    a, c = N3_PAIR
+    a, c = pair
     bit_a, bit_c = pattern >> 1, pattern & 1
     dense = dense.copy()
     dense[a, c] = dense[c, a] = bit_a
     v = len(dense)
-    outside = np.array([x for x in range(v) if x not in N3_PAIR])
+    outside = np.array([x for x in range(v) if x not in pair])
     realizers = outside[(dense[outside, a] == bit_a) & (dense[outside, c] == bit_c)]
     if keep_outside:
         realizers = realizers[np.isin(realizers, graphs._screen_columns(v))]
@@ -620,6 +653,32 @@ def test_n3_fallback_reports_type_with_no_realizer(pattern, n3_product_level):
     assert is_n_saturated(g, 3).counterexample == (N3_PAIR, f)
     if pattern == 3:
         assert is_weakly_n_saturated(g, 3).counterexample == (N3_PAIR, f)
+
+
+@pytest.mark.parametrize("pattern", range(4))
+def test_n3_collapsed_fallback_rescues_type_realized_off_screen(pattern, n3_product_level):
+    g, f = screen_miss_graph(n3_product_level, pattern, keep_outside=True, pair=N3_FIBER_PAIR)
+    assert not any(realizes(g, int(x), f) for x in graphs._screen_columns(g.vertex_count))
+    assert n3_realizer_counts(g)[pattern, N3_FIBER_PAIR[0], N3_FIBER_PAIR[1]] >= 1
+    assert n3_oracle_collapsed(g, 3) is None
+    assert graphs._missing_type_collapsed(g, 3) is None
+
+
+@pytest.mark.parametrize("pattern", range(4))
+def test_n3_collapsed_fallback_reports_type_with_no_realizer(pattern, n3_product_level):
+    g, f = screen_miss_graph(n3_product_level, pattern, keep_outside=False, pair=N3_FIBER_PAIR)
+    assert find_realizer(g, f) is None
+    assert n3_oracle_collapsed(g, 3) == (N3_FIBER_PAIR, f)
+    assert graphs._missing_type_collapsed(g, 3) == (N3_FIBER_PAIR, f)
+    assert is_n_saturated(g, 3).counterexample == (N3_FIBER_PAIR, f)
+
+
+@pytest.mark.parametrize("pattern", range(4))
+def test_n3_collapsed_scan_finds_hole_in_last_fiber(pattern, n3_product_level):
+    # every earlier fiber's pairs keep their realizers
+    g, f = screen_miss_graph(n3_product_level, pattern, keep_outside=False, pair=(357, 359))
+    assert n3_oracle_collapsed(g, 3) == ((357, 359), f)
+    assert graphs._missing_type_collapsed(g, 3) == ((357, 359), f)
 
 
 # VmHWM, not ru_maxrss: Linux carries the spawning process's peak over into a
@@ -654,3 +713,48 @@ def test_n3_scan_peak_memory_stays_small():
     assert holds == "True"  # the scan went over every pair
     assert int(packed_bytes) == 9840 * 154 * 8
     assert int(grown) <= 0.25 * int(packed_bytes), (int(grown) / 2**20, int(packed_bytes) / 2**20)
+
+
+# -- known answers: Paley graphs ----------------------------------------------------
+
+
+def paley(q: int) -> FiniteGraph:
+    """The Paley graph P_q of a prime q = 1 (mod 4), with loops: x ~ y when x - y is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    pairs = itertools.combinations(range(q), 2)
+    return FiniteGraph.from_edges(q, [(x, y) for x, y in pairs if y - x in squares])
+
+
+def weil_certifies(q: int, n: int) -> bool:
+    """Whether Weil's character-sum bound alone makes P_q n-saturated.
+
+    For disjoint A, B with |A| + |B| = k = n - 1, the realizers N outside
+    A u B satisfy 2^k N >= q - ((k-2) 2^(k-1) + 1) sqrt(q) - k 2^(k-1)
+    (Bollobas and Thomason 1981; Blass, Exoo and Harary 1981).
+    """
+    k = n - 1
+    return q - ((k - 2) * 2 ** (k - 1) + 1) * q**0.5 - k * 2 ** (k - 1) > 0
+
+
+PALEY_PRIMES = [q for q in range(5, 260, 4) if all(q % p for p in range(2, int(q**0.5) + 1))]
+
+
+def test_paley_saturation_known_answers():
+    # n-saturated means (n-1)-e.c.: for n=3 from q=13 on, for n=4 from q=53
+    # on by the Weil bound, and below it P_29, P_37 and P_41 happen to be too
+    for q in PALEY_PRIMES:
+        g = paley(q)
+        if q < 120:
+            assert weil_certifies(q, 3) == (q >= 13)
+            assert is_n_saturated(g, 3).holds == (q >= 13), q
+        assert weil_certifies(q, 4) == (q >= 53)
+        assert is_n_saturated(g, 4).holds == (q not in (5, 13, 17)), q
+
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29, 37, 41])
+def test_paley_below_the_weil_bound_matches_reference(q):
+    g = paley(q)
+    for n in (3, 4):
+        assert is_n_saturated(g, n).counterexample == scan_missing_type(g, n, ones_only=False)
+        if q <= 13:
+            assert is_n_saturated(g, n).holds == oracle_is_n_saturated(g, n)
