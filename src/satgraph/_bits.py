@@ -5,7 +5,8 @@ Adjacency rows, candidate sets and copy masks are all stored as arrays of
 intersections over thousands of vertices collapse to a handful of word
 operations.  The Four Russians kernel at the end (:func:`or_tables`,
 :func:`first_hole`) decides both the lifting check and the n >= 4
-saturation scan.
+saturation scan, through one prefix walker (:func:`walk_prefixes`) that
+puts the rows of many prefixes into each kernel call.
 """
 
 from __future__ import annotations
@@ -205,3 +206,75 @@ def first_hole(
             r = int(np.argmax(holes))
             return int(live[r]), lowest_set_bit(~seen[r])
     return None
+
+
+def walk_prefixes(
+    tables: list[np.ndarray], index: np.ndarray, prefixes: Iterable[tuple[int, ...]], after: np.ndarray
+):
+    """First holes over lexicographic batches of whole prefixes: one tuple per batch, one entry per table.
+
+    ``index`` is [kind, group, position]: ``index[s][:, p]`` is the
+    :func:`first_hole` row of position p taken with value s (lifting has one
+    kind, the saturation scan one per sign).  ``after`` is ascending, and
+    after[p] is the smallest position allowed to follow p.  ``prefixes``
+    are tuples of positions in lexicographic order; one is skipped when a
+    position lies below ``after`` of the one before it.  The rows of a
+    prefix P are (P, choice, b): the choices run lexicographically over the
+    tuples of one kind per position of P and one for b, and b runs from
+    after[P[-1]] (0 when P is empty) over every position whose after[b] is
+    still a position.  Row (P, choice, b) is the AND of the index columns
+    of P and of b at their kinds, and starts at after[b].
+
+    Whole prefixes are put into a batch until it holds ``BLOCK_WORDS //
+    words`` rows, for the words of a table row, and each table gets one
+    :func:`first_hole` call per batch.  Yields, per batch and table, the
+    first row with a hole as (P, choice, b, c), or None; the rows of
+    earlier batches have none.
+    """
+    kinds, _, count = index.shape
+    stop = int(np.searchsorted(after, count))  # rows past it start at count, so cannot hold a hole
+    rows_per_batch = max(1, BLOCK_WORDS // tables[0].shape[2])
+    batch, lows, rows = [], [], 0
+    for prefix in prefixes:
+        if any(after[p] > q for p, q in zip(prefix, prefix[1:])):
+            continue
+        lo = int(after[prefix[-1]]) if prefix else 0
+        if lo < stop:
+            batch.append(prefix)
+            lows.append(lo)
+            rows += kinds ** (len(prefix) + 1) * (stop - lo)
+        if rows >= rows_per_batch:
+            yield _batch_holes(tables, index, batch, lows, stop, after)
+            batch, lows, rows = [], [], 0
+    if batch:
+        yield _batch_holes(tables, index, batch, lows, stop, after)
+
+
+def _batch_holes(tables, index, batch, lows, stop, after):
+    """:func:`walk_prefixes`' first hole of each table over the rows of one batch of prefixes."""
+    kinds, groups, count = index.shape
+    prefixes = np.array(batch, dtype=np.intp).reshape(len(batch), -1)
+    choices = np.array(list(np.ndindex((kinds,) * (prefixes.shape[1] + 1))), dtype=np.intp)
+    # common[prefix, choice]: the AND of the prefix's index bytes at the choice's kinds
+    common = np.bitwise_and.reduce(index[choices[None, :, :-1], :, prefixes[:, None, :]], axis=2)
+    # one segment of rows per (prefix, choice), over b = lo .. stop-1; slices
+    # of the index are several times faster to AND than gathered columns
+    firsts = np.cumsum([0] + [stop - lo for lo in lows for _ in choices])
+    chosen = np.empty((groups, firsts[-1]), dtype=np.uint8)
+    start = np.empty(firsts[-1], dtype=after.dtype)
+    for s, (r0, r1) in enumerate(zip(firsts[:-1], firsts[1:])):
+        owner, choice = divmod(s, len(choices))
+        lo = lows[owner]
+        b_rows = index[choices[choice, -1], :, lo:stop]
+        np.bitwise_and(b_rows, common[owner, choice, :, None], out=chosen[:, r0:r1])
+        start[r0:r1] = after[lo:stop]
+    holes = []
+    for t in tables:
+        found = first_hole(t, chosen, start, count)
+        if found is not None:
+            r, c = found
+            s = int(np.searchsorted(firsts, r, side="right")) - 1
+            owner, choice = divmod(s, len(choices))
+            found = batch[owner], tuple(int(x) for x in choices[choice]), lows[owner] + r - int(firsts[s]), c
+        holes.append(found)
+    return tuple(holes)

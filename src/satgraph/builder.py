@@ -208,29 +208,6 @@ def _copy_tables(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _bits.or_tables(rows), np.packbits(bits, axis=0, bitorder="little")
 
 
-def _prefix_batches(count: int, size: int, after: np.ndarray, rows_per_batch: int):
-    """The walk's prefixes of size-2 targets with their first b, batched.
-
-    Yields lists of (prefix, lo) in lexicographic order, each list with at
-    least ``rows_per_batch`` b rows in all (the last one may have fewer).
-    A prefix is skipped when a target lies below ``after`` of the one before
-    it, or when no b is left above it.
-    """
-    batch, rows = [], 0
-    for prefix in itertools.combinations(range(count), size - 2):
-        if any(after[p] > q for p, q in zip(prefix, prefix[1:])):
-            continue
-        lo = int(after[prefix[-1]]) if prefix else 0
-        if lo < count:
-            batch.append((prefix, lo))
-            rows += count - lo
-        if rows >= rows_per_batch:
-            yield batch
-            batch, rows = [], 0
-    if batch:
-        yield batch
-
-
 def _first_uncovered_tuple(
     tables: np.ndarray, index: np.ndarray, n: int, t_bases: np.ndarray, distinct_bases: bool
 ) -> Optional[tuple[int, ...]]:
@@ -239,11 +216,11 @@ def _first_uncovered_tuple(
     ``tables`` and ``index`` are :func:`_copy_tables` of the copy x target
     0/1 matrix of one base vertex, and ``t_bases`` is the ascending base
     vertex of each target.  Smaller tuples come first, and tuples of one
-    size in lexicographic order.  For each size the walk runs over the
-    prefixes of size-2 targets and over b above each; the copies of row
-    (prefix, b) are those adjacent to the prefix and to b, and
-    :func:`_bits.first_hole` finds the first row with a target c >=
-    ``after[b]`` that none of them is adjacent to.  With ``distinct_bases`` tuples with
+    size in lexicographic order.  For each size :func:`_bits.walk_prefixes`
+    runs over the prefixes of size-2 targets and over b above each; the
+    copies of row (prefix, b) are those adjacent to the prefix and to b,
+    and the first row with a target c >= ``after[b]`` that none of them is
+    adjacent to is the smallest tuple.  With ``distinct_bases`` tuples with
     two targets over one base vertex are exempt: since ``t_bases`` is
     sorted, every target must lie above the last target over the base of
     the one before it.
@@ -251,17 +228,12 @@ def _first_uncovered_tuple(
     count = index.shape[1]
     # smallest target allowed to follow each target in a tuple
     after = np.searchsorted(t_bases, t_bases, side="right") if distinct_bases else np.arange(1, count + 1)
-    rows_per_batch = max(1, _bits.BLOCK_WORDS // tables.shape[2])
     for size in range(2, n):
-        for batch in _prefix_batches(count, size, after, rows_per_batch):
-            prefixes = np.array([prefix for prefix, _ in batch], dtype=np.intp).reshape(len(batch), size - 2)
-            common = np.bitwise_and.reduce(index[:, prefixes], axis=2)  # [group, prefix]
-            owner = np.repeat(np.arange(len(batch)), [count - lo for _, lo in batch])
-            b = np.concatenate([np.arange(lo, count) for _, lo in batch])
-            found = _bits.first_hole(tables, index[:, b] & common[:, owner], after[b], count)
+        prefixes = itertools.combinations(range(count), size - 2)
+        for (found,) in _bits.walk_prefixes([tables], index[None], prefixes, after):
             if found is not None:
-                r, c = found
-                return batch[owner[r]][0] + (int(b[r]), c)
+                prefix, _, b, c = found
+                return prefix + (b, c)
     return None
 
 

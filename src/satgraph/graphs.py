@@ -447,53 +447,59 @@ def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
     # plus a pair b < c above it.  The scan order is (P, b, c, bits, sign),
     # and the smallest failing (A, f) is returned.
     #
-    # The whole (b, c) plane of one assignment of P, one bit of b and one
-    # sign of c is decided by one call of the Four Russians kernel
-    # :func:`_bits.first_hole`.  Its tables, built once per scan and sign,
-    # hold the ORs of the realizer rows of sign at every vertex over groups
-    # of 8 vertices x: bit c of row x is set when x realizes sign at c.  Row
-    # b of a call picks the x that are candidates of the assignment and
-    # realize bit at b; a zero bit c > b of their OR is a type {b: bit,
-    # c: sign} with no realizer.  Realizing is symmetric, so the bits of the
-    # x of group g at b are byte g of b's own realizer row.
+    # Row (P, bits, b) of the Four Russians kernel :func:`_bits.first_hole`
+    # picks the vertices x that realize the assignment bits[:-1] of P and
+    # bits[-1] at b; a zero bit c > b of the OR of their realizer rows of a
+    # sign is a type {P: bits[:-1], b: bits[-1], c: sign} with no realizer.
+    # The tables, built once per scan and sign, hold the ORs of the realizer
+    # rows of sign over groups of 8 vertices x: bit c of row x is set when x
+    # realizes sign at c.  Realizing is symmetric, so the x of group g that
+    # realize a bit at u are byte g of u's own realizer row of that bit, and
+    # the AND of those bytes over P leaves out P itself.
+    #
+    # :func:`_bits.walk_prefixes` runs one kernel call per sign over batches
+    # of whole prefixes, in the row order (P, bits, b), which is not the
+    # scan order.  Its first hit under either sign names the first prefix
+    # with a hole, and that prefix alone is decided in the scan order.
     v = g.vertex_count
     rows = g.packed_rows
     full = _bits.full_row(v)
     signs = (1,) if ones_only else (0, 1)
     groups = -(-v // 8)
     _bits.require_fits(_scan_table_bytes(v, n, ones_only), "lookup tables")
-    tables, index = {}, {}
+    tables, index = [], []
     for sign in signs:
         realizers = _realizer_rows(rows, full, np.arange(v), sign)
-        tables[sign] = _bits.or_tables(realizers)
-        index[sign] = np.ascontiguousarray(realizers.view(np.uint8)[:, :groups].T)
-    for prefix in itertools.combinations(range(v), n - 3):
-        lo = prefix[-1] + 1
-        if lo > v - 2:
-            continue
-        start = np.arange(lo + 1, v)
-        best = None
-        assignments = [(1,) * (n - 3)] if ones_only else itertools.product((0, 1), repeat=n - 3)
-        for bits in assignments:
-            cand = full.copy()
-            for a, b in zip(prefix, bits):
-                cand &= rows[a] if b else ~rows[a] & full
-            for a in prefix:
-                _bits.clear_bit_in_row(cand, a)
-            picks = cand.view(np.uint8)[:groups, None]
-            for bit in signs:
-                chosen = index[bit][:, lo : v - 1] & picks
-                for sign in signs:
-                    found = _bits.first_hole(tables[sign], chosen, start, v)
-                    if found is not None:
-                        key = (lo + found[0], found[1], bits + (bit,), sign)
-                        if best is None or key < best:
-                            best = key
-        if best is not None:
-            b, c, bits, sign = best
-            subset = prefix + (b, c)
-            return subset, TypeSpec(tuple(zip(subset, bits + (sign,))))
+        tables.append(_bits.or_tables(realizers))
+        index.append(realizers.view(np.uint8)[:, :groups].T)
+    index = np.stack(index)  # [sign, group, vertex]
+    prefixes = itertools.combinations(range(v), n - 3)
+    for holes in _bits.walk_prefixes(tables, index, prefixes, np.arange(1, v + 1)):
+        hit = min((found[0] for found in holes if found is not None), default=None)
+        if hit is not None:
+            return _smallest_missing_type_at(tables, index, hit, signs, v)
     return None
+
+
+def _smallest_missing_type_at(tables, index: np.ndarray, prefix: tuple[int, ...], signs, v: int):
+    # The smallest missing (A, f) of _missing_type_planes over the prefix P,
+    # in the scan order (b, c, bits, sign): one kernel call per assignment of
+    # P, bit of b and sign of c, each over every b of P.
+    lo = prefix[-1] + 1
+    start = np.arange(lo + 1, v)
+    best = None
+    for bits in itertools.product(range(len(signs)), repeat=len(prefix) + 1):
+        picks = np.bitwise_and.reduce(index[list(bits[:-1]), :, list(prefix)], axis=0)
+        chosen = index[bits[-1], :, lo : v - 1] & picks[:, None]
+        for sign, t in enumerate(tables):
+            found = _bits.first_hole(t, chosen, start, v)
+            if found is not None:
+                key = (lo + found[0], found[1], bits, sign)
+                if best is None or key < best:
+                    best = key
+    b, c, bits, sign = best
+    subset = prefix + (b, c)
+    return subset, TypeSpec(tuple(zip(subset, (signs[s] for s in bits + (sign,)))))
 
 
 def _scan_table_bytes(v: int, n: int, ones_only: bool = False) -> int:

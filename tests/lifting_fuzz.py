@@ -20,10 +20,13 @@ sample over K5 (n = 5, m 3 to 9).  In one case of two, every realizer of a
 random type over a random n-1 vertices then moves to the opposite bit at
 the type's largest vertex, so that the type has none.  is_n_saturated and
 is_weakly_n_saturated must report the counterexample of scan_missing_type.
+Odd scan cases run with _bits.BLOCK_WORDS at 64 words, so that the scan's
+prefix walker cuts its batches after a prefix or a few and splits each
+kernel call into blocks of a few rows.
 
 The script stops at the first mismatch with exit status 1 and prints the
 case; otherwise it prints how the checks ended.  6,000 lifting cases take
-about 3 minutes on one core, and 1,000 scan cases about 5.
+about 2.5 minutes on one core, and 1,000 scan cases about 5.
 """
 
 import argparse
@@ -32,6 +35,7 @@ import time
 
 import numpy as np
 
+from satgraph import _bits
 from satgraph.builder import check_product_lifting, sample_product_graph
 from satgraph.graphs import FiniteGraph, is_n_saturated, is_weakly_n_saturated, random_graph
 
@@ -118,13 +122,18 @@ def main(argv=None) -> int:
     )
     start = time.perf_counter()
     verdicts = {"holds": 0, "fails": 0}
+    block_words = _bits.BLOCK_WORDS
     for j in range(args.first, args.first + args.scan_cases):
         n, g, change = scan_case(j)
+        _bits.BLOCK_WORDS = 64 if j % 2 else block_words
         for ones_only, check in ((False, is_n_saturated), (True, is_weakly_n_saturated)):
             got = check(g, n).counterexample
             want = scan_missing_type(g, n, ones_only)
             if got != want:
-                print(f"scan case {j}: V={g.vertex_count} n={n} {change} ones_only={ones_only}: got {got}, reference {want}")
+                print(
+                    f"scan case {j}: V={g.vertex_count} n={n} {change} ones_only={ones_only} "
+                    f"BLOCK_WORDS={_bits.BLOCK_WORDS}: got {got}, reference {want}"
+                )
                 return 1
             verdicts["holds" if got is None else "fails"] += 1
     print(

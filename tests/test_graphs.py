@@ -332,6 +332,25 @@ def dense_adjacency(g: FiniteGraph) -> np.ndarray:
     return np.unpackbits(g.packed_rows.view(np.uint8), axis=-1, bitorder="little")[:, :v].copy()
 
 
+def without_realizers(dense: np.ndarray, f: TypeSpec) -> np.ndarray:
+    """Copy of ``dense`` where every realizer of f moves to the opposite bit at f's largest vertex."""
+    dense = dense.copy()
+    subset = list(f.domain)
+    outside = np.setdiff1d(np.arange(len(dense)), subset)
+    realizers = outside[(dense[np.ix_(outside, subset)] == f.bits).all(axis=1)]
+    dense[realizers, subset[-1]] ^= 1
+    dense[subset[-1], realizers] ^= 1
+    return dense
+
+
+def with_holes(dense: np.ndarray, *types: TypeSpec) -> FiniteGraph:
+    for f in types:
+        dense = without_realizers(dense, f)
+    g = FiniteGraph.from_dense(dense)
+    assert all(find_realizer(g, f) is None for f in types)
+    return g
+
+
 def scan_cases():
     """(graph, n) pairs whose first missing type sits early, deep, or nowhere."""
     rng = np.random.default_rng(4)
@@ -381,16 +400,9 @@ def test_block_scan_finds_planted_missing_type(pattern, blocks, monkeypatch):
     # move every realizer of one type over a late triple to the opposite
     # bit at its largest vertex
     shrink_blocks(monkeypatch, blocks)
-    v, subset = 120, (70, 95, 110)
-    bits = ((pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1)
-    dense = dense_adjacency(random_graph(v, seed=100 + pattern))
-    outside = np.array([x for x in range(v) if x not in subset])
-    realizers = outside[(dense[np.ix_(outside, subset)] == bits).all(axis=1)]
-    dense[realizers, subset[-1]] ^= 1
-    dense[subset[-1], realizers] ^= 1
-    g = FiniteGraph.from_dense(dense)
-    f = TypeSpec(tuple(zip(subset, bits)))
-    assert find_realizer(g, f) is None
+    subset = (70, 95, 110)
+    f = TypeSpec(tuple(zip(subset, ((pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1))))
+    g = with_holes(dense_adjacency(random_graph(120, seed=100 + pattern)), f)
     rep = is_n_saturated(g, 4)
     assert rep.counterexample == scan_missing_type(g, 4, ones_only=False)
     assert rep.counterexample[0] <= subset
@@ -479,6 +491,78 @@ def test_n4_fallback_reports_type_with_no_realizer(pattern, n4_graph):
     if pattern == 7:
         assert scan_missing_type(g, 4, ones_only=True) == (N4_TRIPLE, f)
         assert is_weakly_n_saturated(g, 4).counterexample == (N4_TRIPLE, f)
+
+
+# -- the prefix walker's batches ----------------------------------------------
+#
+# The n >= 4 scan runs one kernel call per sign of c over a batch of whole
+# prefixes, whose rows run (prefix, assignment, bit of b, b), and decides the
+# first prefix with a hit under either sign in the scan order (b, c, bits,
+# sign).  On the 200-vertex graph of n4_graph the first batch holds the
+# prefixes 0 to 10, the first to reach 8,192 rows (4 * (198 - a) of prefix a).
+
+
+@pytest.mark.parametrize("early_sign", [0, 1])
+def test_walker_smaller_prefix_wins_across_signs(early_sign, n4_graph):
+    # one sign's call hits at prefix 3, the other's at prefix 4 of one batch
+    early = TypeSpec(((3, 1), (40, 0), (90, early_sign)))
+    late = TypeSpec(((4, 0), (20, 1), (60, 1 - early_sign)))
+    g = with_holes(n4_graph, early, late)
+    assert scan_missing_type(g, 4, ones_only=False) == (early.domain, early)
+    assert is_n_saturated(g, 4).counterexample == (early.domain, early)
+
+
+def test_walker_redo_finds_smallest_key_in_later_assignment(n4_graph):
+    # the first hit row of prefix 3 is `first`, under assignment {3: 0}; the
+    # scan order puts `smallest`, with a smaller b under {3: 1}, before it
+    first = TypeSpec(((3, 0), (50, 1), (70, 1)))
+    smallest = TypeSpec(((3, 1), (30, 0), (80, 1)))
+    g = with_holes(n4_graph, first, smallest)
+    assert scan_missing_type(g, 4, ones_only=False) == (smallest.domain, smallest)
+    assert is_n_saturated(g, 4).counterexample == (smallest.domain, smallest)
+
+
+@pytest.mark.parametrize("pattern", range(8))
+def test_walker_finds_hole_at_last_prefix(pattern, n4_graph):
+    # the last prefix, V-3, has one b, V-2, and one c, V-1
+    v = len(n4_graph)
+    f = TypeSpec(tuple(zip((v - 3, v - 2, v - 1), ((pattern >> 2) & 1, (pattern >> 1) & 1, pattern & 1))))
+    g = with_holes(n4_graph, f)
+    assert scan_missing_type(g, 4, ones_only=False) == (f.domain, f)
+    assert is_n_saturated(g, 4).counterexample == (f.domain, f)
+    if pattern == 7:
+        assert scan_missing_type(g, 4, ones_only=True) == (f.domain, f)
+        assert is_weakly_n_saturated(g, 4).counterexample == (f.domain, f)
+
+
+def n5_walker_cases():
+    """(graph, planted type or None) at n = 5: random graphs, K5 samples, and late all-ones holes."""
+    rng = np.random.default_rng(23)
+    for seed in range(6):
+        v = int(rng.integers(6, 30))
+        yield random_graph(v, seed=seed, edge_prob=float(rng.uniform(0.3, 0.9))), None
+        yield sample_product_graph(FiniteGraph.complete(5), 3 + seed % 3, seed=seed), None
+    # dense graphs are weakly 5-saturated, so a planted all-ones hole is the
+    # weak scan's answer, here in the middle of the walk, near its start and
+    # at its last prefix
+    for seed, subset in ((49, (12, 20, 25, 29)), (40, (3, 4, 5, 6)), (45, (26, 27, 28, 29))):
+        f = TypeSpec(tuple((x, 1) for x in subset))
+        dense = dense_adjacency(random_graph(30, seed=seed, edge_prob=0.85))
+        yield with_holes(dense, f), f
+
+
+# BLOCK_WORDS 8 makes a batch of one prefix, decided over several kernel
+# blocks of 8 rows (of 30 vertices or fewer, one word each); 1024 makes
+# batches of several two-vertex prefixes
+@pytest.mark.parametrize("block", [8, 1024])
+def test_n5_walker_batches_match_reference(block, monkeypatch):
+    monkeypatch.setattr(_bits, "BLOCK_WORDS", block)
+    for g, planted in n5_walker_cases():
+        assert is_n_saturated(g, 5).counterexample == scan_missing_type(g, 5, ones_only=False)
+        weak = is_weakly_n_saturated(g, 5).counterexample
+        assert weak == scan_missing_type(g, 5, ones_only=True)
+        if planted is not None:
+            assert weak == (planted.domain, planted)
 
 
 # -- independent n = 3 oracle: realizer counts from matrix products ---------------
