@@ -6,7 +6,11 @@ intersections over thousands of vertices collapse to a handful of word
 operations.  The Four Russians kernel at the end (:func:`or_tables`,
 :func:`first_hole`) decides both the lifting check and the n >= 4
 saturation scan, through one prefix walker (:func:`walk_prefixes`) that
-puts the rows of many prefixes into each kernel call.
+puts the rows of many prefixes into each kernel call.  A kernel row may
+hold several parts of one width side by side, each checked over the same
+bits: the saturation scan puts both signs of c into one table, so one call
+decides both.  The kernel drops the rows with no hole left only at groups
+4, 8, 16, ..., and reads each group's index bytes at the rows still live.
 """
 
 from __future__ import annotations
@@ -137,8 +141,9 @@ def _transpose64_stripe(x: np.ndarray) -> None:
 
 
 # The Four Russians kernel ORs lookup tables over groups of 8 rows into
-# blocks of at most BLOCK_WORDS words of rows (256 KiB); from _DROP_GROUPS
-# groups on, the rows left without a hole are dropped.
+# blocks of at most BLOCK_WORDS words of rows (256 KiB); at groups
+# _DROP_GROUPS, 2 * _DROP_GROUPS, 4 * _DROP_GROUPS, ... the rows left
+# without a hole are dropped.
 BLOCK_WORDS = 1 << 15
 _DROP_GROUPS = 4
 # _LOW_MASKS[t] holds the low t bits of a word, t = 0 .. 64
@@ -166,20 +171,25 @@ def or_tables(rows: np.ndarray) -> np.ndarray:
 def first_hole(
     tables: np.ndarray, index: np.ndarray, start: np.ndarray, count: int
 ) -> tuple[int, int] | None:
-    """First row r with a bit c, start[r] <= c < count, that its chosen rows miss: (r, c), or None.
+    """First row r whose chosen rows miss a bit c, start[r] <= c < count, of some part: (r, bit), or None.
 
     Row r chooses, per group g of 8 rows of :func:`or_tables`, the rows at
     the bits of ``index[g, r]``, and the OR of the chosen rows is the OR of
     the table entries ``tables[g, index[g, r]]`` (the method of Four
-    Russians).  Each row starts with the bits below start[r] and past count
-    set, so a hole is a zero bit.  Rows are decided in blocks of at most
-    ``BLOCK_WORDS`` words that reuse their buffers; a row with no hole left
-    after ``_DROP_GROUPS`` or more groups is dropped.
+    Russians).  A table row is one or more parts of ``word_count(count)``
+    words each, side by side; every part starts with the bits below
+    start[r] and past count set, so a hole is a zero bit, and ``bit`` is
+    its position in the whole table row (the lowest one of row r).  Rows
+    are decided in blocks of at most ``BLOCK_WORDS`` words that reuse their
+    buffers; at groups ``_DROP_GROUPS``, twice that, four times that and
+    so on, the rows with no hole left are dropped, and a block is done
+    when none is left.
     """
     groups, total = index.shape
     w = tables.shape[2]
+    words = word_count(count)
     step = max(1, min(total, BLOCK_WORDS // w))
-    shifts = np.arange(0, 64 * w, 64)
+    shifts = np.arange(w) % words * 64  # first bit of each word within its part
     tail = ~full_row(count)[-1]
     low = np.empty((step, w), dtype=np.int64)
     seen_buf = np.empty((step, w), dtype=np.uint64)
@@ -187,19 +197,20 @@ def first_hole(
     for r0 in range(0, total, step):
         r1 = min(total, r0 + step)
         live = np.arange(r0, r1)
-        idx = index[:, r0:r1]
         np.subtract(start[r0:r1, None], shifts, out=low[: r1 - r0])
         seen = np.take(_LOW_MASKS, low[: r1 - r0], out=seen_buf[: r1 - r0], mode="clip")
-        seen[:, -1] |= tail
+        seen[:, words - 1 :: words] |= tail
+        check = _DROP_GROUPS
         for g in range(groups):
-            if g >= _DROP_GROUPS:
+            if g == check:
+                check *= 2
                 keep = np.bitwise_and.reduce(seen, axis=1) != _ALL_ONES
                 if not keep.all():
-                    live, idx, seen = live[keep], idx[:, keep], seen[keep]
+                    live, seen = live[keep], seen[keep]
                     if not len(live):
                         break
             out = picked[: len(live)]
-            np.take(tables[g], idx[g], axis=0, out=out, mode="clip")
+            tables[g].take(index[g, live], axis=0, out=out, mode="clip")
             seen |= out
         holes = np.bitwise_and.reduce(seen, axis=1) != _ALL_ONES
         if holes.any():
@@ -228,8 +239,9 @@ def walk_prefixes(
     Whole prefixes are put into a batch until it holds ``BLOCK_WORDS //
     words`` rows, for the words of a table row, and each table gets one
     :func:`first_hole` call per batch.  Yields, per batch and table, the
-    first row with a hole as (P, choice, b, c), or None; the rows of
-    earlier batches have none.
+    first row with a hole as (P, choice, b, c), or None, where c is the
+    hole's bit in the whole table row (the lowest one of the row); the
+    rows of earlier batches have none.
     """
     kinds, _, count = index.shape
     stop = int(np.searchsorted(after, count))  # rows past it start at count, so cannot hold a hole

@@ -451,33 +451,32 @@ def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
     # picks the vertices x that realize the assignment bits[:-1] of P and
     # bits[-1] at b; a zero bit c > b of the OR of their realizer rows of a
     # sign is a type {P: bits[:-1], b: bits[-1], c: sign} with no realizer.
-    # The tables, built once per scan and sign, hold the ORs of the realizer
-    # rows of sign over groups of 8 vertices x: bit c of row x is set when x
-    # realizes sign at c.  Realizing is symmetric, so the x of group g that
-    # realize a bit at u are byte g of u's own realizer row of that bit, and
-    # the AND of those bytes over P leaves out P itself.
+    # The table, built once per scan, holds the ORs of the realizer rows
+    # over groups of 8 vertices x, one part per sign side by side: bit c of
+    # a sign's part of row x is set when x realizes the sign at c.
+    # Realizing is symmetric, so the x of group g that realize a bit at u
+    # are byte g of u's own realizer row of that bit, and the AND of those
+    # bytes over P leaves out P itself.
     #
-    # :func:`_bits.walk_prefixes` runs one kernel call per sign over batches
-    # of whole prefixes, in the row order (P, bits, b), which is not the
-    # scan order.  Its first hit under either sign names the first prefix
-    # with a hole, and that prefix alone is decided in the scan order.
+    # :func:`_bits.walk_prefixes` runs one kernel call over batches of whole
+    # prefixes, in the row order (P, bits, b), which is not the scan order.
+    # Its first hit names the first prefix with a hole under either sign,
+    # and that prefix alone is decided in the scan order.
     v = g.vertex_count
     rows = g.packed_rows
     full = _bits.full_row(v)
     signs = (1,) if ones_only else (0, 1)
     groups = -(-v // 8)
+    w = _bits.word_count(v)
     _bits.require_fits(_scan_table_bytes(v, n, ones_only), "lookup tables")
-    tables, index = [], []
-    for sign in signs:
-        realizers = _realizer_rows(rows, full, np.arange(v), sign)
-        tables.append(_bits.or_tables(realizers))
-        index.append(realizers.view(np.uint8)[:, :groups].T)
-    index = np.stack(index)  # [sign, group, vertex]
+    realizers = [_realizer_rows(rows, full, np.arange(v), sign) for sign in signs]
+    fused = _bits.or_tables(np.concatenate(realizers, axis=1))
+    index = np.stack([r.view(np.uint8)[:, :groups].T for r in realizers])  # [sign, group, vertex]
     prefixes = itertools.combinations(range(v), n - 3)
-    for holes in _bits.walk_prefixes(tables, index, prefixes, np.arange(1, v + 1)):
-        hit = min((found[0] for found in holes if found is not None), default=None)
-        if hit is not None:
-            return _smallest_missing_type_at(tables, index, hit, signs, v)
+    for (found,) in _bits.walk_prefixes([fused], index, prefixes, np.arange(1, v + 1)):
+        if found is not None:
+            parts = [fused[:, :, s * w : (s + 1) * w] for s in range(len(signs))]
+            return _smallest_missing_type_at(parts, index, found[0], signs, v)
     return None
 
 

@@ -22,11 +22,13 @@ the type's largest vertex, so that the type has none.  is_n_saturated and
 is_weakly_n_saturated must report the counterexample of scan_missing_type.
 Odd scan cases run with _bits.BLOCK_WORDS at 64 words, so that the scan's
 prefix walker cuts its batches after a prefix or a few and splits each
-kernel call into blocks of a few rows.
+kernel call into blocks of a few rows.  Odd cases, lifting and scan alike,
+also run with _bits._DROP_GROUPS at 1, so that the kernel drops its settled
+rows at groups 1, 2, 4, 8 and 16, inside the few groups of these graphs.
 
 The script stops at the first mismatch with exit status 1 and prints the
 case; otherwise it prints how the checks ended.  6,000 lifting cases take
-about 2.5 minutes on one core, and 1,000 scan cases about 5.
+about 2.2 minutes on one core, and 1,000 scan cases about 4.4.
 """
 
 import argparse
@@ -102,8 +104,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     sizes: dict[int, int] = {}
+    drop_groups = _bits._DROP_GROUPS
     for j in range(args.first, args.first + args.cases):
         base, m, g, change = case(j)
+        _bits._DROP_GROUPS = 1 if j % 2 else drop_groups
         for n in (3, 4):
             for distinct in (False, True):
                 got = check_product_lifting(g, base, m, n, distinct_bases=distinct).counterexample
@@ -111,7 +115,8 @@ def main(argv=None) -> int:
                 if got != want:
                     print(
                         f"case {j}: k={base.vertex_count} m={m} {change} n={n} "
-                        f"distinct_bases={distinct}: got {got}, reference {want}"
+                        f"distinct_bases={distinct} _DROP_GROUPS={_bits._DROP_GROUPS}: "
+                        f"got {got}, reference {want}"
                     )
                     return 1
                 size = len(got[1]) if got else 0
@@ -126,13 +131,15 @@ def main(argv=None) -> int:
     for j in range(args.first, args.first + args.scan_cases):
         n, g, change = scan_case(j)
         _bits.BLOCK_WORDS = 64 if j % 2 else block_words
+        _bits._DROP_GROUPS = 1 if j % 2 else drop_groups
         for ones_only, check in ((False, is_n_saturated), (True, is_weakly_n_saturated)):
             got = check(g, n).counterexample
             want = scan_missing_type(g, n, ones_only)
             if got != want:
                 print(
                     f"scan case {j}: V={g.vertex_count} n={n} {change} ones_only={ones_only} "
-                    f"BLOCK_WORDS={_bits.BLOCK_WORDS}: got {got}, reference {want}"
+                    f"BLOCK_WORDS={_bits.BLOCK_WORDS} _DROP_GROUPS={_bits._DROP_GROUPS}: "
+                    f"got {got}, reference {want}"
                 )
                 return 1
             verdicts["holds" if got is None else "fails"] += 1

@@ -408,6 +408,37 @@ def test_lifting_kernel_edges_match_reference_loop(k, copies):
         assert {0, 2, 3} <= sizes, sizes
 
 
+def first_hole_loop(bits, rows, start):
+    """:func:`_bits.first_hole` row by row, for the tables of ``bits``, [part, copy, target] 0/1.
+
+    Row r chooses the copies at the bits of its index bytes ``rows[:, r]``;
+    a hole is a target c >= start[r] of some part that no chosen copy has,
+    at bit 64 * word_count(targets) * part + c of the whole table row.
+    """
+    parts, copies, count = bits.shape
+    chosen = np.unpackbits(rows, axis=0, bitorder="little")[:copies].astype(bool)
+    for r in range(rows.shape[1]):
+        missed = ~bits[:, chosen[:, r]].any(axis=1) & (np.arange(count) >= start[r])
+        if missed.any():
+            part, c = np.argwhere(missed)[0]
+            return r, 64 * _bits.word_count(count) * int(part) + int(c)
+    return None
+
+
+def settling_rows(rng, groups, settle):
+    """Index bytes over ``groups`` groups of 8 copies, one row per entry of ``settle``.
+
+    Row r chooses every copy of group settle[r] and no other, so with dense
+    copy rows it is settled from there on.  A row whose settle[r] is past
+    the last group chooses one copy of a random group, so it keeps a hole to
+    the end.
+    """
+    rows = np.where(np.arange(groups)[:, None] == settle, 0xFF, 0).astype(np.uint8)
+    open_rows = np.flatnonzero(settle >= groups)
+    rows[rng.integers(0, groups, len(open_rows)), open_rows] = 1 << rng.integers(0, 8, len(open_rows))
+    return rows
+
+
 @pytest.mark.parametrize("block", [None, 1, 8])
 def test_lifting_kernel_rows_without_common_copy(block, monkeypatch):
     # a (prefix, b) row with no common copy never reaches the kernel through
@@ -423,15 +454,32 @@ def test_lifting_kernel_rows_without_common_copy(block, monkeypatch):
         start = rng.integers(0, count + 1, 200)
         rows[:, [50, 120]] = 0
         start[[50, 120]] = [min(63, count - 1), count - 1]
-        chosen = np.unpackbits(rows, axis=0, bitorder="little")[:copies].astype(bool)
-        want = None
-        for r in range(200):
-            missed = ~bits[chosen[:, r]].any(axis=0) & (np.arange(count) >= start[r])
-            if missed.any():
-                want = (r, int(np.argmax(missed)))
-                break
+        want = first_hole_loop(bits[None], rows, start)
         assert _bits.first_hole(tables, rows, start, count) == want
         assert want[0] <= 50
+    # tables of two parts side by side, as the n >= 4 scan's sign tables, over
+    # 12 groups: rows are dropped at groups 4 and 8, and the rows settled at
+    # groups 5 to 7 only at 8; the rows still open after the last group hold
+    # the holes.  Starts at 0, at 64 (a word boundary, and the end of a part
+    # when count is 64), just below count and at count apply to both parts,
+    # and so do the tail bits when count is not a multiple of 64.
+    for count, dense_first in ((64, False), (70, False), (128, True), (130, True)):
+        bits = (rng.random((2, 96, count)) < 0.9).astype(np.uint8)
+        if dense_first:
+            bits[0] = 1  # holes only in the second part
+        tables = _bits.or_tables(np.concatenate([_bits.pack_bits(b) for b in bits], axis=1))
+        settle = rng.choice([0, 2, 5, 6, 7, 9, 11], 300)
+        settle[200::7] = 12  # open after the last group
+        rows = settling_rows(rng, 12, settle)
+        start = rng.choice([0, 0, 64, count - 1, count], 300)
+        want = first_hole_loop(bits, rows, start)
+        assert _bits.first_hole(tables, rows, start, count) == want
+        assert want[0] >= 200 and settle[want[0]] == 12
+        assert (want[1] >= 64 * _bits.word_count(count)) == dense_first
+        # every row settled before the first check: each block exits early
+        early = settling_rows(rng, 12, rng.integers(0, 4, 300))
+        assert first_hole_loop(bits, early, start) is None
+        assert _bits.first_hole(tables, early, start, count) is None
 
 
 _LIFTING_PEAK_PROBE = """

@@ -495,16 +495,17 @@ def test_n4_fallback_reports_type_with_no_realizer(pattern, n4_graph):
 
 # -- the prefix walker's batches ----------------------------------------------
 #
-# The n >= 4 scan runs one kernel call per sign of c over a batch of whole
-# prefixes, whose rows run (prefix, assignment, bit of b, b), and decides the
-# first prefix with a hit under either sign in the scan order (b, c, bits,
-# sign).  On the 200-vertex graph of n4_graph the first batch holds the
-# prefixes 0 to 10, the first to reach 8,192 rows (4 * (198 - a) of prefix a).
+# The n >= 4 scan runs one kernel call over a batch of whole prefixes, whose
+# rows run (prefix, assignment, bit of b, b) and hold both signs of c side by
+# side, and decides the first prefix with a hit in the scan order (b, c,
+# bits, sign).  On the 200-vertex graph of n4_graph the first batch holds the
+# prefixes 0 to 5, the first to reach 4,096 rows (4 * (198 - a) of prefix a).
 
 
 @pytest.mark.parametrize("early_sign", [0, 1])
 def test_walker_smaller_prefix_wins_across_signs(early_sign, n4_graph):
-    # one sign's call hits at prefix 3, the other's at prefix 4 of one batch
+    # one sign's part misses a type at prefix 3, the other's at prefix 4 of
+    # one batch
     early = TypeSpec(((3, 1), (40, 0), (90, early_sign)))
     late = TypeSpec(((4, 0), (20, 1), (60, 1 - early_sign)))
     g = with_holes(n4_graph, early, late)
@@ -520,6 +521,18 @@ def test_walker_redo_finds_smallest_key_in_later_assignment(n4_graph):
     g = with_holes(n4_graph, first, smallest)
     assert scan_missing_type(g, 4, ones_only=False) == (smallest.domain, smallest)
     assert is_n_saturated(g, 4).counterexample == (smallest.domain, smallest)
+
+
+def test_walker_redo_orders_signs_by_c(n4_graph):
+    # one row (prefix 3, {3: 0}, b = 40 at bit 1) of the fused table misses
+    # c = 90 in its sign-0 part and c = 60 in its sign-1 part; the lowest
+    # zero bit of the whole row is the sign-0 hole, but the scan order puts
+    # the smaller c first
+    sign0 = TypeSpec(((3, 0), (40, 1), (90, 0)))
+    sign1 = TypeSpec(((3, 0), (40, 1), (60, 1)))
+    g = with_holes(n4_graph, sign0, sign1)
+    assert scan_missing_type(g, 4, ones_only=False) == (sign1.domain, sign1)
+    assert is_n_saturated(g, 4).counterexample == (sign1.domain, sign1)
 
 
 @pytest.mark.parametrize("pattern", range(8))
