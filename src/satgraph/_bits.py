@@ -73,10 +73,6 @@ def set_bits(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
     )
 
 
-def clear_bit_in_row(row: np.ndarray, c: int) -> None:
-    row[c >> 6] &= np.uint64(~(1 << (c & 63)) & 0xFFFFFFFFFFFFFFFF)
-
-
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a (..., nbits) uint8 0/1 array into (..., words) uint64 rows."""
     nbits = bits.shape[-1]
@@ -220,9 +216,9 @@ def first_hole(
 
 
 def walk_prefixes(
-    tables: list[np.ndarray], index: np.ndarray, prefixes: Iterable[tuple[int, ...]], after: np.ndarray
+    table: np.ndarray, index: np.ndarray, prefixes: Iterable[tuple[int, ...]], after: np.ndarray
 ):
-    """First holes over lexicographic batches of whole prefixes: one tuple per batch, one entry per table.
+    """First holes of one table over lexicographic batches of whole prefixes: one per batch.
 
     ``index`` is [kind, group, position]: ``index[s][:, p]`` is the
     :func:`first_hole` row of position p taken with value s (lifting has one
@@ -237,15 +233,15 @@ def walk_prefixes(
     of P and of b at their kinds, and starts at after[b].
 
     Whole prefixes are put into a batch until it holds ``BLOCK_WORDS //
-    words`` rows, for the words of a table row, and each table gets one
-    :func:`first_hole` call per batch.  Yields, per batch and table, the
-    first row with a hole as (P, choice, b, c), or None, where c is the
-    hole's bit in the whole table row (the lowest one of the row); the
-    rows of earlier batches have none.
+    words`` rows, for the words of a table row, and each batch is one
+    :func:`first_hole` call on ``table``.  Yields, per batch, the first row
+    with a hole as (P, choice, b, c), or None, where c is the hole's bit in
+    the whole table row (the lowest one of the row); the rows of earlier
+    batches have none.
     """
     kinds, _, count = index.shape
     stop = int(np.searchsorted(after, count))  # rows past it start at count, so cannot hold a hole
-    rows_per_batch = max(1, BLOCK_WORDS // tables[0].shape[2])
+    rows_per_batch = max(1, BLOCK_WORDS // table.shape[2])
     batch, lows, rows = [], [], 0
     for prefix in prefixes:
         if any(after[p] > q for p, q in zip(prefix, prefix[1:])):
@@ -256,14 +252,14 @@ def walk_prefixes(
             lows.append(lo)
             rows += kinds ** (len(prefix) + 1) * (stop - lo)
         if rows >= rows_per_batch:
-            yield _batch_holes(tables, index, batch, lows, stop, after)
+            yield _batch_hole(table, index, batch, lows, stop, after)
             batch, lows, rows = [], [], 0
     if batch:
-        yield _batch_holes(tables, index, batch, lows, stop, after)
+        yield _batch_hole(table, index, batch, lows, stop, after)
 
 
-def _batch_holes(tables, index, batch, lows, stop, after):
-    """:func:`walk_prefixes`' first hole of each table over the rows of one batch of prefixes."""
+def _batch_hole(table, index, batch, lows, stop, after):
+    """:func:`walk_prefixes`' first hole of the table over the rows of one batch of prefixes."""
     kinds, groups, count = index.shape
     prefixes = np.array(batch, dtype=np.intp).reshape(len(batch), -1)
     choices = np.array(list(np.ndindex((kinds,) * (prefixes.shape[1] + 1))), dtype=np.intp)
@@ -280,13 +276,10 @@ def _batch_holes(tables, index, batch, lows, stop, after):
         b_rows = index[choices[choice, -1], :, lo:stop]
         np.bitwise_and(b_rows, common[owner, choice, :, None], out=chosen[:, r0:r1])
         start[r0:r1] = after[lo:stop]
-    holes = []
-    for t in tables:
-        found = first_hole(t, chosen, start, count)
-        if found is not None:
-            r, c = found
-            s = int(np.searchsorted(firsts, r, side="right")) - 1
-            owner, choice = divmod(s, len(choices))
-            found = batch[owner], tuple(int(x) for x in choices[choice]), lows[owner] + r - int(firsts[s]), c
-        holes.append(found)
-    return tuple(holes)
+    found = first_hole(table, chosen, start, count)
+    if found is None:
+        return None
+    r, c = found
+    s = int(np.searchsorted(firsts, r, side="right")) - 1
+    owner, choice = divmod(s, len(choices))
+    return batch[owner], tuple(int(x) for x in choices[choice]), lows[owner] + r - int(firsts[s]), c

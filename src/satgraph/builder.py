@@ -230,28 +230,29 @@ def _first_uncovered_tuple(
     after = np.searchsorted(t_bases, t_bases, side="right") if distinct_bases else np.arange(1, count + 1)
     for size in range(2, n):
         prefixes = itertools.combinations(range(count), size - 2)
-        for (found,) in _bits.walk_prefixes([tables], index[None], prefixes, after):
+        for found in _bits.walk_prefixes(tables, index[None], prefixes, after):
             if found is not None:
                 prefix, _, b, c = found
                 return prefix + (b, c)
     return None
 
 
-def _fiber_union(g: FiniteGraph, copies: int) -> np.ndarray:
-    """Packed OR of each fiber's rows: row i is every neighbour of a copy of base vertex i."""
+def _fiber_union_chunks(g: FiniteGraph, base_bits: np.ndarray, copies: int):
+    """Per chunk of base vertices i0.., the packed ``(i0, union, spread)`` of a product graph.
+
+    Row i of ``union`` is the OR of the rows of base vertex i's fiber: every
+    neighbour of some copy of i.  Row i of ``spread`` is the 0/1 base row
+    ``base_bits[i]`` repeated over the copies: every copy of every base
+    neighbour of i.  The union is built once; the chunks of ``(1 << 24) //
+    V`` rows bound the unpacked bits behind each ``spread``.
+    """
     rows = g.packed_rows
-    return np.bitwise_or.reduce(rows.reshape(len(rows) // copies, copies, -1), axis=1)
-
-
-def _cover_matrix(union: np.ndarray, v_tgt: int, copies: int) -> np.ndarray:
-    v_src = v_tgt * copies
-    cover = np.empty((v_tgt, v_tgt), dtype=bool)
-    chunk = max(1, (1 << 24) // max(1, v_src))
-    for r0 in range(0, v_tgt, chunk):
-        r1 = min(v_tgt, r0 + chunk)
-        bits = _bits.unpack_rows(union[r0:r1], v_src)
-        cover[r0:r1] = bits.reshape(r1 - r0, v_tgt, copies).any(axis=2)
-    return cover
+    k = len(base_bits)
+    union = np.bitwise_or.reduce(rows.reshape(k, copies, -1), axis=1)
+    chunk = max(1, (1 << 24) // max(1, g.vertex_count))
+    for i0 in range(0, k, chunk):
+        i1 = min(k, i0 + chunk)
+        yield i0, union[i0:i1], _bits.pack_bits(np.repeat(base_bits[i0:i1], copies, axis=1))
 
 
 def _check_division_quotient(src: FiniteGraph, tgt: FiniteGraph, copies: int) -> Optional[str]:
@@ -259,19 +260,28 @@ def _check_division_quotient(src: FiniteGraph, tgt: FiniteGraph, copies: int) ->
 
     Some pair of fibers carries an edge exactly when the base pair must be
     adjacent (edge preservation) and conversely every base edge must be
-    covered (strictness); surjectivity is structural for fiber maps.
+    covered (strictness); surjectivity is structural for fiber maps.  On
+    the packed rows of :func:`_fiber_union_chunks`, a base vertex whose
+    fiber union equals its spread base row passes, since every fiber is
+    non-empty.  Only the other rows are unpacked, one at a time, into the
+    fibers each fiber union meets; the first (i, j) where that disagrees
+    with base adjacency is reported.  A row may differ without a mismatch,
+    when a base neighbour has copies adjacent to no copy of i: that is a
+    lifting failure, not a quotient one.
     """
-    union = _fiber_union(src, copies)
-    cover = _cover_matrix(union, tgt.vertex_count, copies)
-    adj = _bits.unpack_rows(tgt.packed_rows, tgt.vertex_count).astype(bool)
-    if np.array_equal(cover, adj):
-        return None
-    diff = cover != adj
-    flat = int(np.argmax(diff))
-    i, j = divmod(flat, tgt.vertex_count)
-    if cover[i, j]:
-        return f"an edge between fibers {i} and {j} maps onto a non-edge"
-    return f"edge ({i},{j}) has no edge between its fibers"
+    k = tgt.vertex_count
+    base_bits = _bits.unpack_rows(tgt.packed_rows, k)
+    for i0, union, spread in _fiber_union_chunks(src, base_bits, copies):
+        for r in np.nonzero((union != spread).any(axis=1))[0]:
+            i = i0 + int(r)
+            cover = _bits.unpack_rows(union[r], src.vertex_count).reshape(k, copies).any(axis=1)
+            mismatch = np.nonzero(cover != base_bits[i])[0]
+            if len(mismatch):
+                j = int(mismatch[0])
+                if cover[j]:
+                    return f"an edge between fibers {i} and {j} maps onto a non-edge"
+                return f"edge ({i},{j}) has no edge between its fibers"
+    return None
 
 
 def check_product_lifting(
@@ -287,8 +297,10 @@ def check_product_lifting(
     lying over base neighbours of i (repeats allowed; pass
     ``distinct_bases=True`` to restrict to configurations over pairwise
     distinct base vertices), some copy (i, l) must be adjacent to all of
-    them.  Singletons are a fiber-union test over chunks of base vertices.
-    Every larger tuple size is decided on packed bits by
+    them.  Singletons are decided on the packed rows of
+    :func:`_fiber_union_chunks`: a copy of a base neighbour that no copy of
+    i is adjacent to is a bit of i's spread base row missing from its fiber
+    union.  Every larger tuple size is decided on packed bits by
     :func:`_first_uncovered_tuple`: for each prefix of the tuple and each
     next target b, the OR of the rows of the copies adjacent to both, taken
     from lookup tables over groups of 8 copies, is the set of targets that
@@ -306,13 +318,9 @@ def check_product_lifting(
     if n == 1:
         return LiftingReport(True)
     base_bits = _bits.unpack_rows(base.packed_rows, k)
-    union = _fiber_union(g, copies)
-    chunk = max(1, (1 << 24) // max(1, g.vertex_count))
-    for i0 in range(0, k, chunk):
-        i1 = min(k, i0 + chunk)
-        expanded = _bits.pack_bits(np.repeat(base_bits[i0:i1], copies, axis=1))
-        missing = expanded & ~union[i0:i1]
-        for i in range(i0, i1):
+    for i0, union, spread in _fiber_union_chunks(g, base_bits, copies):
+        missing = spread & ~union
+        for i in range(i0, i0 + len(union)):
             if missing[i - i0].any():
                 return LiftingReport(False, (i, (_bits.lowest_set_bit(missing[i - i0]),)))
             if n == 2:

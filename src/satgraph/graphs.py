@@ -72,6 +72,8 @@ class FiniteGraph:
     def from_rows(cls, masks: Sequence[int]) -> "FiniteGraph":
         """Build from per-vertex neighbour masks given as Python ints."""
         v = len(masks)
+        if any(not 0 <= m < 1 << v for m in masks):
+            raise ValueError("neighbour mask out of vertex range")
         packed = np.stack([_bits.int_to_row(m, v) for m in masks])
         return cls(v, packed, validate=True)
 
@@ -209,8 +211,8 @@ class TypeSpec:
             if v in seen:
                 raise ValueError("duplicate vertex in type domain")
             seen.add(v)
-        if list(self.pairs) != sorted(self.pairs):
-            object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
+        # a tuple of int pairs whatever the input, so that equal specs are equal and hashable
+        object.__setattr__(self, "pairs", tuple(sorted((int(v), int(b)) for v, b in self.pairs)))
 
     @classmethod
     def coerce(cls, f: TypeLike) -> "TypeSpec":
@@ -473,7 +475,7 @@ def _missing_type_planes(g: FiniteGraph, n: int, ones_only: bool):
     fused = _bits.or_tables(np.concatenate(realizers, axis=1))
     index = np.stack([r.view(np.uint8)[:, :groups].T for r in realizers])  # [sign, group, vertex]
     prefixes = itertools.combinations(range(v), n - 3)
-    for (found,) in _bits.walk_prefixes([fused], index, prefixes, np.arange(1, v + 1)):
+    for found in _bits.walk_prefixes(fused, index, prefixes, np.arange(1, v + 1)):
         if found is not None:
             parts = [fused[:, :, s * w : (s + 1) * w] for s in range(len(signs))]
             return _smallest_missing_type_at(parts, index, found[0], signs, v)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -99,33 +99,11 @@ class RealizerHandle:
     negative: tuple[ThreadPrefix, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class GraphMap:
-    """A total vertex map between two finite graphs: ``image[v]`` is the target of v."""
+@dataclass(frozen=True)
+class _Bond:
+    """The image array of one division bond: ``image[v]`` is ``v // (m+1)``."""
 
-    source: FiniteGraph
-    target: FiniteGraph
-    image: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        img = np.ascontiguousarray(self.image, dtype=np.int64)
-        if img.shape != (self.source.vertex_count,):
-            raise ValueError("image must assign every source vertex")
-        if img.size and (img.min() < 0 or img.max() >= self.target.vertex_count):
-            raise ValueError("image value out of target range")
-        img.flags.writeable = False
-        object.__setattr__(self, "image", img)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and np.array_equal(self.image, other.image)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
+    image: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,15 +125,15 @@ class Tower:
         return len(self.levels) - 1
 
     @property
-    def bonds(self) -> tuple[GraphMap, ...]:
-        """The bonds as explicit maps, derived from ``per_level_m`` on each access.
+    def bonds(self) -> tuple[_Bond, ...]:
+        """Each bond's image array, derived from ``per_level_m`` on each access.
 
-        Nothing in the library reads this; it stays because the benchmark
-        harness reads each bond's ``image`` and ``len`` of the tuple.
+        Nothing in the library reads this.  It stays only because the
+        benchmark harness reads ``t.bonds[d].image`` and ``len(t.bonds)``;
+        ROADMAP item 1 deletes it together with those two harness lines.
         """
         return tuple(
-            GraphMap(hi, lo, np.arange(hi.vertex_count) // (m + 1))
-            for lo, hi, m in zip(self.levels, self.levels[1:], self.per_level_m)
+            _Bond(np.arange(hi.vertex_count) // (m + 1)) for hi, m in zip(self.levels[1:], self.per_level_m)
         )
 
     def truncated(self, depth: int) -> "Tower":
@@ -245,11 +223,12 @@ def verify_tower(t: Tower) -> TowerReport:
 
     Checks, in order: structural consistency (level sizes match the
     product encoding, every m >= 1) and the complete level 0; exhaustive
-    n-saturation of every level above 0; each bond a quotient map, by the
-    fiber-union cover test; each bond's lifting guarantee for
-    configurations over distinct base vertices; and one-step splitting
-    (every vertex has at least two preimages one level up).  The bonds are
-    the division maps derived from ``per_level_m``.
+    n-saturation of every level above 0; each bond a quotient map, decided
+    on packed fiber unions (:func:`~satgraph.builder._check_division_quotient`);
+    each bond's lifting guarantee for configurations over distinct base
+    vertices; and one-step splitting (every vertex has at least two
+    preimages one level up).  The bonds are the division maps derived from
+    ``per_level_m``.
 
     The lifting check uses the distinct-bases form because that is what
     the limit needs: ``realize_type`` lifts only above the separation

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from satgraph.graphs import FiniteGraph
-from satgraph.towers import GraphMap, Tower, extend_tower, new_tower
+from satgraph.towers import Tower, extend_tower, new_tower
+
+from reference_loops import GraphMap
 
 
 def division_map(g: FiniteGraph, base: FiniteGraph, m: int) -> GraphMap:

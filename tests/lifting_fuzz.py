@@ -10,9 +10,12 @@ where the reference loops are fast, are common) and a product graph over
 the base.  One case in three then loses one random edge between a fiber
 and one of its targets, and one in three loses the edges that cover a
 random pair or triple of one fiber's targets, so that counterexamples
-occur at every size.  For n = 3 and n = 4, in both modes,
+occur at every size.  One case in six (a random base that lost one edge)
+also gains an edge between the fibers over two non-adjacent base vertices,
+when the base has such a pair.  For n = 3 and n = 4, in both modes,
 check_product_lifting must report the counterexample of
-product_lifting_loops.
+product_lifting_loops, and on every case the division quotient check must
+report the message of division_quotient_loops.
 
 Scan case j draws, from seed j, a random graph (n = 4 on 5 to 149
 vertices, or n = 5 on 5 to 23), a sample over K4 (n = 4, m 10 to 59) or a
@@ -28,7 +31,7 @@ rows at groups 1, 2, 4, 8 and 16, inside the few groups of these graphs.
 
 The script stops at the first mismatch with exit status 1 and prints the
 case; otherwise it prints how the checks ended.  6,000 lifting cases take
-about 2.2 minutes on one core, and 1,000 scan cases about 4.4.
+about 3.0 minutes on one core, and 1,000 scan cases about 4.9.
 """
 
 import argparse
@@ -38,11 +41,11 @@ import time
 import numpy as np
 
 from satgraph import _bits
-from satgraph.builder import check_product_lifting, sample_product_graph
+from satgraph.builder import _check_division_quotient, check_product_lifting, sample_product_graph
 from satgraph.graphs import FiniteGraph, is_n_saturated, is_weakly_n_saturated, random_graph
 
 from conftest import uncover, without_edges
-from reference_loops import product_lifting_loops, scan_missing_type
+from reference_loops import division_quotient_loops, product_lifting_loops, scan_missing_type
 
 
 def case(j: int):
@@ -63,7 +66,13 @@ def case(j: int):
         if not nbrs:
             return base, m, g, "sample"
         t = int(rng.choice(nbrs))
-        return base, m, without_edges(g, [(u, t)]), f"edge {u}-{t}"
+        g, change = without_edges(g, [(u, t)]), f"edge {u}-{t}"
+        non_edges = [(a, b) for a in range(k) for b in range(a + 1, k) if not base.adjacent(a, b)]
+        if j % 6 == 4 and non_edges:
+            a, b = non_edges[int(rng.integers(len(non_edges)))]
+            x, y = a * copies + int(rng.integers(copies)), b * copies + int(rng.integers(copies))
+            g, change = FiniteGraph.from_edges(g.vertex_count, g.edges() + [(x, y)]), f"{change}, edge {x}+{y}"
+        return base, m, g, change
     size = int(rng.integers(2, 4))
     if len(tcols) < size:
         return base, m, g, "sample"
@@ -104,9 +113,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     sizes: dict[int, int] = {}
+    quotients: dict[str, int] = {}
     drop_groups = _bits._DROP_GROUPS
     for j in range(args.first, args.first + args.cases):
         base, m, g, change = case(j)
+        got = _check_division_quotient(g, base, m + 1)
+        want = division_quotient_loops(g, base, m + 1)
+        if got != want:
+            print(f"case {j}: k={base.vertex_count} m={m} {change} quotient: got {got!r}, reference {want!r}")
+            return 1
+        kind = "passes" if got is None else got.split()[0]
+        quotients[kind] = quotients.get(kind, 0) + 1
         _bits._DROP_GROUPS = 1 if j % 2 else drop_groups
         for n in (3, 4):
             for distinct in (False, True):
@@ -122,8 +139,9 @@ def main(argv=None) -> int:
                 size = len(got[1]) if got else 0
                 sizes[size] = sizes.get(size, 0) + 1
     print(
-        f"{args.cases} lifting cases, {4 * args.cases} checks agree in {time.perf_counter() - start:.0f} s; "
-        f"checks by counterexample size (0: holds): {dict(sorted(sizes.items()))}"
+        f"{args.cases} lifting cases, {4 * args.cases} lifting checks and {args.cases} quotient checks agree "
+        f"in {time.perf_counter() - start:.0f} s; checks by counterexample size (0: holds): "
+        f"{dict(sorted(sizes.items()))}; quotient messages by first word: {dict(sorted(quotients.items()))}"
     )
     start = time.perf_counter()
     verdicts = {"holds": 0, "fails": 0}

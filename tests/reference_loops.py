@@ -6,22 +6,31 @@ became block products over the (b, c) plane and its lifting tuple check a
 packed lookup-table kernel: the tests require the library to report
 exactly the counterexamples these report.
 
-The generic graph-map oracles decide, for an arbitrary vertex map, whether
-it is a homomorphism, strict, surjective or a quotient map, compose maps,
-and check the fiber-lifting property by literal enumeration over the
-fibers.  The library only ever builds division bonds ``v -> v // (m+1)``
-and checks them with structured tests; these oracles cross-check those
-tests on small instances.
+The division quotient loop tests a division bond pair by pair of base
+vertices, and must report the message of the library's packed quotient
+check.
+
+``GraphMap`` is an explicit vertex map between two finite graphs.  The
+generic graph-map oracles decide, for any ``GraphMap``, whether it is a
+homomorphism, strict, surjective or a quotient map, compose maps, and
+check the fiber-lifting property by literal enumeration over the fibers.
+The library only ever builds division bonds ``v -> v // (m+1)`` and
+checks them on packed rows, with no map object; these oracles cross-check
+those checks on small instances.
 """
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from satgraph import _bits
 from satgraph.builder import LiftingReport
 from satgraph.graphs import FiniteGraph, TypeSpec
-from satgraph.towers import GraphMap
+
+
+def clear_bit_in_row(row: np.ndarray, c: int) -> None:
+    row[c >> 6] &= np.uint64(~(1 << (c & 63)) & 0xFFFFFFFFFFFFFFFF)
 
 
 def scan_missing_type(g: FiniteGraph, n: int, ones_only: bool):
@@ -51,7 +60,7 @@ def scan_missing_type(g: FiniteGraph, n: int, ones_only: bool):
             for a, b in zip(prefix, bits):
                 cand &= rows[a] if b else comp[a]
             for a in prefix:
-                _bits.clear_bit_in_row(cand, a)
+                clear_bit_in_row(cand, a)
             plans = ((1, rpos),) if ones_only else ((0, comp), (1, rpos))
             for sign, mat in plans:
                 maybe = ~(mat[lo:, :screen] & cand[:screen]).any(axis=1)
@@ -147,7 +156,56 @@ def product_lifting_loops(g: FiniteGraph, base: FiniteGraph, m: int, n: int, dis
     return None
 
 
+def division_quotient_loops(g: FiniteGraph, base: FiniteGraph, copies: int):
+    """The message of the first base pair (i, j) the division bond gets wrong, or None.
+
+    Pairs run row by row.  Fibers i and j carry an edge when some copy of i
+    is adjacent to some copy of j, tested on Python-int neighbour masks, and
+    that must agree with ``base.adjacent(i, j)``.
+    """
+    k = base.vertex_count
+    masks = [g.neighbors_mask(u) for u in range(g.vertex_count)]
+    fiber_masks = [((1 << copies) - 1) << (j * copies) for j in range(k)]
+    for i in range(k):
+        for j in range(k):
+            meet = any(masks[u] & fiber_masks[j] for u in range(i * copies, (i + 1) * copies))
+            if meet and not base.adjacent(i, j):
+                return f"an edge between fibers {i} and {j} maps onto a non-edge"
+            if not meet and base.adjacent(i, j):
+                return f"edge ({i},{j}) has no edge between its fibers"
+    return None
+
+
 # -- generic graph-map oracles ------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class GraphMap:
+    """A total vertex map between two finite graphs: ``image[v]`` is the target of v."""
+
+    source: FiniteGraph
+    target: FiniteGraph
+    image: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        img = np.ascontiguousarray(self.image, dtype=np.int64)
+        if img.shape != (self.source.vertex_count,):
+            raise ValueError("image must assign every source vertex")
+        if img.size and (img.min() < 0 or img.max() >= self.target.vertex_count):
+            raise ValueError("image value out of target range")
+        img.flags.writeable = False
+        object.__setattr__(self, "image", img)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GraphMap):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and np.array_equal(self.image, other.image)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def identity_map(g: FiniteGraph) -> GraphMap:

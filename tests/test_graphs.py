@@ -74,6 +74,10 @@ def test_from_rows_round_trip_and_validation():
         FiniteGraph.from_rows([0b011, 0b010, 0b100])  # vertex 2 missing loop? asymmetric
     with pytest.raises(ValueError):
         FiniteGraph.from_rows([0b010, 0b010])  # missing loops
+    # negative masks and bits past vertex v-1, in the last word or beyond it
+    for masks in ([-1, 0b010, 0b100], [1 << 70, 0b010, 0b100], [0b1001, 0b010, 0b100], [1 << 64, 0b010, 0b100]):
+        with pytest.raises(ValueError, match="out of vertex range"):
+            FiniteGraph.from_rows(masks)
 
 
 def test_from_edges_rejects_bad_input():
@@ -287,6 +291,12 @@ def test_typespec_normalizes_and_validates():
     f = TypeSpec.coerce({2: 1, 0: 0})
     assert f.pairs == ((0, 0), (2, 1))
     assert f.bit(2) == 1
+    # pairs given as lists, sorted or not, are stored as a sorted tuple of int pairs
+    for given in ([(0, 1)], [[0, 1]], [(np.int64(0), np.int64(1))]):
+        assert TypeSpec(given) == TypeSpec(((0, 1),))
+        assert hash(TypeSpec(given)) == hash(TypeSpec(((0, 1),)))
+        assert type(TypeSpec(given).pairs[0][0]) is int
+    assert TypeSpec([(2, 1), (0, 0)]).pairs == ((0, 0), (2, 1))
     with pytest.raises(ValueError):
         TypeSpec(((0, 2),))
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """The benchmark harness still runs against the library.
 
 ``perfbench/child.py`` wraps satgraph module attributes by name and reads
-``Tower.bonds``; a rename there shows up here instead of at benchmark time.
+each bond's ``image`` and the count of ``Tower.bonds``, which stays as a
+tuple of private one-field records for that alone; a rename there shows up
+here instead of at benchmark time.
 """
 
 import subprocess

@@ -20,10 +20,10 @@ from satgraph.serialize import (
     load_tower,
     save_tower,
 )
-from satgraph.towers import GraphMap, extend_tower, new_tower, verify_tower
+from satgraph.towers import extend_tower, new_tower, verify_tower
 from satgraph import serialize
 
-from reference_loops import is_quotient_map
+from reference_loops import GraphMap, is_quotient_map
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from satgraph.builder import attempt_seed, build_extension, minimal_certified_m, sample_product_graph
+from satgraph.builder import (
+    _check_division_quotient,
+    attempt_seed,
+    build_extension,
+    check_product_lifting,
+    minimal_certified_m,
+    sample_product_graph,
+)
 from satgraph.graphs import FiniteGraph, TypeSpec, find_realizer, is_weakly_n_saturated
 from satgraph.towers import (
     AdjacencyStatus,
@@ -25,7 +32,8 @@ from satgraph.towers import (
     verify_tower,
 )
 
-from reference_loops import compose, is_quotient_map
+from conftest import division_map, without_edges
+from reference_loops import compose, division_quotient_loops, is_quotient_map
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +165,79 @@ def test_verify_catches_added_edge(t2_small):
     report = verify_tower(mutated)
     assert not report.ok
     assert "quotient[bond 1]" in report.first_failure
+
+
+# -- the quotient check ----------------------------------------------------------
+
+
+def quotient_message(g: FiniteGraph, base: FiniteGraph, copies: int):
+    """The quotient check's message, which must be the reference loop's."""
+    got = _check_division_quotient(g, base, copies)
+    assert got == division_quotient_loops(g, base, copies)
+    return got
+
+
+def cross_edges(g: FiniteGraph, copies: int, i: int, j: int) -> list[tuple[int, int]]:
+    """Every edge (u, w) of ``g`` between the fibers of base vertices i != j."""
+    return [
+        (u, w)
+        for u in range(i * copies, (i + 1) * copies)
+        for w in range(j * copies, (j + 1) * copies)
+        if g.adjacent(u, w)
+    ]
+
+
+def test_quotient_passes_every_single_edge_deletion():
+    # acceptance 8's tower (n=2, seed 5, 2 -> 14 vertices): no single
+    # deletion empties the edges between the two fibers, so each is left to
+    # the other checks
+    t = extend_tower(new_tower(2, seed=5))
+    base, top = t.levels
+    edges = top.edges()
+    assert len(edges) == 44
+    for e in edges:
+        assert quotient_message(without_edges(top, [e]), base, t.per_level_m[0] + 1) is None
+
+
+def test_quotient_messages_on_planted_cross_edges(t2):
+    # level 1 of an n=2 tower as the base: edges planted between fibers over
+    # non-adjacent base vertices, and in odd seeds every edge between the
+    # fibers over one base edge deleted, in random rows
+    base, top = t2.levels[1], t2.levels[2]
+    copies = t2.per_level_m[1] + 1
+    k = base.vertex_count
+    non_edges = [(i, j) for i in range(k) for j in range(i + 1, k) if not base.adjacent(i, j)]
+    base_edges = [(i, j) for i in range(k) for j in range(i + 1, k) if base.adjacent(i, j)]
+    kinds = set()
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        planted = []
+        for _ in range(int(rng.integers(1, 3))):
+            i, j = non_edges[int(rng.integers(len(non_edges)))]
+            planted.append((i * copies + int(rng.integers(copies)), j * copies + int(rng.integers(copies))))
+        g = FiniteGraph.from_edges(top.vertex_count, top.edges() + planted)
+        if seed % 2:
+            i, j = base_edges[int(rng.integers(len(base_edges)))]
+            g = without_edges(g, cross_edges(g, copies, i, j))
+        message = quotient_message(g, base, copies)
+        kinds.add(message.split()[0])
+    assert kinds == {"an", "edge"}
+
+
+def test_quotient_skips_rows_that_only_miss_part_of_a_fiber(t2):
+    # base vertex 0's fiber loses its edges to one copy of a neighbour j, so
+    # its fiber union differs from its spread base row while fibers 0 and j
+    # still meet; the first real mismatch is an edge planted in a later row
+    base, top = t2.levels[1], t2.levels[2]
+    copies = t2.per_level_m[1] + 1
+    k = base.vertex_count
+    j = next(j for j in range(1, k) if base.adjacent(0, j))
+    g = without_edges(top, [(u, j * copies) for u in range(copies) if top.adjacent(u, j * copies)])
+    assert check_product_lifting(g, base, copies - 1, 2).counterexample == (0, (j * copies,))
+    assert quotient_message(g, base, copies) is None
+    p, q = next((p, q) for p in range(max(2, j + 1), k) for q in range(p + 1, k) if not base.adjacent(p, q))
+    g = FiniteGraph.from_edges(g.vertex_count, g.edges() + [(p * copies, q * copies + 1)])
+    assert quotient_message(g, base, copies) == f"an edge between fibers {p} and {q} maps onto a non-edge"
 
 
 def test_verify_structure_failures(t2_small):
@@ -320,7 +401,9 @@ def test_one_step_splitting(t2_small):
 
 
 def test_compose_of_bonds_is_quotient(t2_small):
-    assert is_quotient_map(compose(t2_small.bonds[0], t2_small.bonds[1]))
+    lo, mid, hi = t2_small.levels
+    m0, m1 = t2_small.per_level_m
+    assert is_quotient_map(compose(division_map(mid, lo, m0), division_map(hi, mid, m1)))
 
 
 # -- realization ------------------------------------------------------------------
