@@ -182,15 +182,18 @@ def _symmetrize_in_place(packed: np.ndarray, v: int) -> None:
 
 @dataclass(frozen=True)
 class LiftingReport:
-    """Outcome of a fiber-lifting check.
+    """Outcome of a fiber-lifting check, and of the quotient check of the same bond.
 
     On failure, ``counterexample`` is a pair (base vertex, product vertices):
     no vertex of the base vertex's fiber is adjacent to all of the listed
-    product vertices, which is directly re-checkable.
+    product vertices, which is directly re-checkable.  ``quotient`` is None
+    when the division bond is a quotient map, and otherwise names the first
+    base pair it gets wrong; it is decided whether lifting holds or not.
     """
 
     holds: bool
     counterexample: Optional[tuple[int, tuple[int, ...]]] = None
+    quotient: Optional[str] = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -237,53 +240,6 @@ def _first_uncovered_tuple(
     return None
 
 
-def _fiber_union_chunks(g: FiniteGraph, base_bits: np.ndarray, copies: int):
-    """Per chunk of base vertices i0.., the packed ``(i0, union, spread)`` of a product graph.
-
-    Row i of ``union`` is the OR of the rows of base vertex i's fiber: every
-    neighbour of some copy of i.  Row i of ``spread`` is the 0/1 base row
-    ``base_bits[i]`` repeated over the copies: every copy of every base
-    neighbour of i.  The union is built once; the chunks of ``(1 << 24) //
-    V`` rows bound the unpacked bits behind each ``spread``.
-    """
-    rows = g.packed_rows
-    k = len(base_bits)
-    union = np.bitwise_or.reduce(rows.reshape(k, copies, -1), axis=1)
-    chunk = max(1, (1 << 24) // max(1, g.vertex_count))
-    for i0 in range(0, k, chunk):
-        i1 = min(k, i0 + chunk)
-        yield i0, union[i0:i1], _bits.pack_bits(np.repeat(base_bits[i0:i1], copies, axis=1))
-
-
-def _check_division_quotient(src: FiniteGraph, tgt: FiniteGraph, copies: int) -> Optional[str]:
-    """Quotient-map check for a division bond; None when it passes.
-
-    Some pair of fibers carries an edge exactly when the base pair must be
-    adjacent (edge preservation) and conversely every base edge must be
-    covered (strictness); surjectivity is structural for fiber maps.  On
-    the packed rows of :func:`_fiber_union_chunks`, a base vertex whose
-    fiber union equals its spread base row passes, since every fiber is
-    non-empty.  Only the other rows are unpacked, one at a time, into the
-    fibers each fiber union meets; the first (i, j) where that disagrees
-    with base adjacency is reported.  A row may differ without a mismatch,
-    when a base neighbour has copies adjacent to no copy of i: that is a
-    lifting failure, not a quotient one.
-    """
-    k = tgt.vertex_count
-    base_bits = _bits.unpack_rows(tgt.packed_rows, k)
-    for i0, union, spread in _fiber_union_chunks(src, base_bits, copies):
-        for r in np.nonzero((union != spread).any(axis=1))[0]:
-            i = i0 + int(r)
-            cover = _bits.unpack_rows(union[r], src.vertex_count).reshape(k, copies).any(axis=1)
-            mismatch = np.nonzero(cover != base_bits[i])[0]
-            if len(mismatch):
-                j = int(mismatch[0])
-                if cover[j]:
-                    return f"an edge between fibers {i} and {j} maps onto a non-edge"
-                return f"edge ({i},{j}) has no edge between its fibers"
-    return None
-
-
 def check_product_lifting(
     g: FiniteGraph,
     base: FiniteGraph,
@@ -291,38 +247,76 @@ def check_product_lifting(
     n: int,
     distinct_bases: bool = False,
 ) -> LiftingReport:
-    """Verify every small neighbour configuration has a common fiber neighbour.
+    """Decide the lifting guarantee and the quotient check of one division bond in one pass.
 
     For each base vertex i and every choice of at most n-1 product vertices
     lying over base neighbours of i (repeats allowed; pass
     ``distinct_bases=True`` to restrict to configurations over pairwise
     distinct base vertices), some copy (i, l) must be adjacent to all of
-    them.  Singletons are decided on the packed rows of
-    :func:`_fiber_union_chunks`: a copy of a base neighbour that no copy of
-    i is adjacent to is a bit of i's spread base row missing from its fiber
-    union.  Every larger tuple size is decided on packed bits by
-    :func:`_first_uncovered_tuple`: for each prefix of the tuple and each
-    next target b, the OR of the rows of the copies adjacent to both, taken
-    from lookup tables over groups of 8 copies, is the set of targets that
-    share a copy with them, and its first zero bit is a counterexample.
-    The scan runs base vertices in ascending order, checking singletons,
-    then pairs, then larger tuples lexicographically, so failures are
-    reported deterministically.
+    them.  The same pass decides whether the division bond onto ``base`` is
+    a quotient map.  The fiber union is built once: row i is the OR of the
+    rows of i's fiber, every neighbour of some copy of i.  Chunks of
+    ``(1 << 24) // V`` base vertices then get their spread base rows: row i
+    is i's base row repeated over the copies, every copy of every base
+    neighbour of i.
+
+    Quotient: some pair of fibers carries an edge exactly when the base
+    pair is adjacent (surjectivity is structural for fiber maps).  A row
+    whose union equals its spread passes, since every fiber is non-empty.
+    Only the other rows are unpacked, one at a time, into the fibers the
+    union meets, and the first (i, j) that disagrees with the base gives
+    the message.  A row may differ without a mismatch, when a base
+    neighbour has copies adjacent to no copy of i: that is a lifting
+    failure, not a quotient one.
+
+    Lifting: a singleton no copy of i is adjacent to is a bit of i's spread
+    missing from its union.  Every larger tuple size is decided on packed
+    bits by :func:`_first_uncovered_tuple`: for each prefix of the tuple and
+    each next target b, the OR of the rows of the copies adjacent to both,
+    taken from lookup tables over groups of 8 copies, is the set of targets
+    that share a copy with them, and its first zero bit is a
+    counterexample.  Base vertices run in ascending order, each through
+    singletons, then pairs, then larger tuples lexicographically, so
+    failures are reported deterministically.  At n = 1 lifting holds.
+
+    The chunks run until both checks have failed, so each reports its own
+    first failure whatever the other finds.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     k = base.vertex_count
     copies = m + 1
-    if g.vertex_count != k * copies:
+    v = g.vertex_count
+    if v != k * copies:
         raise ValueError("graph size does not match the product encoding")
-    if n == 1:
-        return LiftingReport(True)
     base_bits = _bits.unpack_rows(base.packed_rows, k)
-    for i0, union, spread in _fiber_union_chunks(g, base_bits, copies):
-        missing = spread & ~union
-        for i in range(i0, i0 + len(union)):
+    union = np.bitwise_or.reduce(g.packed_rows.reshape(k, copies, -1), axis=1)
+    chunk = max(1, (1 << 24) // max(1, v))
+    quotient = counterexample = None
+    for i0 in range(0, k, chunk):
+        lifting = n > 1 and counterexample is None
+        if quotient is not None and not lifting:
+            break
+        i1 = min(k, i0 + chunk)
+        spread = _bits.pack_bits(np.repeat(base_bits[i0:i1], copies, axis=1))
+        if quotient is None:
+            for i in np.nonzero((union[i0:i1] != spread).any(axis=1))[0] + i0:
+                cover = _bits.unpack_rows(union[i], v).reshape(k, copies).any(axis=1)
+                mismatch = np.nonzero(cover != base_bits[i])[0]
+                if len(mismatch):
+                    i, j = int(i), int(mismatch[0])
+                    if cover[j]:
+                        quotient = f"an edge between fibers {i} and {j} maps onto a non-edge"
+                    else:
+                        quotient = f"edge ({i},{j}) has no edge between its fibers"
+                    break
+        if not lifting:
+            continue
+        missing = spread & ~union[i0:i1]
+        for i in range(i0, i1):
             if missing[i - i0].any():
-                return LiftingReport(False, (i, (_bits.lowest_set_bit(missing[i - i0]),)))
+                counterexample = (i, (_bits.lowest_set_bit(missing[i - i0]),))
+                break
             if n == 2:
                 continue
             tcols = np.nonzero(np.repeat(base_bits[i].astype(bool), copies))[0]
@@ -330,11 +324,12 @@ def check_product_lifting(
             # the tables stay unnamed, so that each base vertex's are freed
             # before the next one's are built
             found = _first_uncovered_tuple(
-                *_copy_tables(_bits.unpack_rows(rows, g.vertex_count)[:, tcols]), n, tcols // copies, distinct_bases
+                *_copy_tables(_bits.unpack_rows(rows, v)[:, tcols]), n, tcols // copies, distinct_bases
             )
             if found is not None:
-                return LiftingReport(False, (i, tuple(int(tcols[t]) for t in found)))
-    return LiftingReport(True)
+                counterexample = (i, tuple(int(tcols[t]) for t in found))
+                break
+    return LiftingReport(counterexample is None, counterexample, quotient)
 
 
 # -- rejection sampling ----------------------------------------------------------
@@ -372,6 +367,8 @@ def build_extension(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
+    if m is not None and m < 1:
+        raise ValueError("m must be at least 1")
     # an n-saturated base is weakly n-saturated too; at n = 3 its verdict
     # lets the samples over it be scanned by the lifting lemma
     base_saturated = n == 3 and is_n_saturated(base, n).holds
@@ -379,8 +376,6 @@ def build_extension(
         raise ValueError("base graph must be weakly n-saturated")
     if m is None:
         m = minimal_certified_m(n, base.vertex_count)
-    if m < 1:
-        raise ValueError("m must be at least 1")
     return _first_accepted(n, base, seed, m, max_attempts, base_saturated)
 
 
@@ -412,9 +407,8 @@ def _first_accepted(
         graph = None  # release the rejected sample before drawing anew
         graph = sample_product_graph(base, m, attempt_seed(seed, attempt))
         if lemma:
-            accepted = check_product_lifting(graph, base, m, n).holds and (
-                graph == known or _saturated_by_lemma(graph, base, m)
-            )
+            rep = check_product_lifting(graph, base, m, n)
+            accepted = rep.holds and (graph == known or _saturated_by_lemma(graph, rep, m))
         else:
             saturated = graph == known or is_n_saturated(graph, n).holds
             accepted = saturated and check_product_lifting(graph, base, m, n).holds
@@ -423,13 +417,13 @@ def _first_accepted(
     raise AttemptsExhausted(attempts, m)
 
 
-def _saturated_by_lemma(graph: FiniteGraph, base: FiniteGraph, m: int) -> bool:
+def _saturated_by_lemma(graph: FiniteGraph, rep: LiftingReport, m: int) -> bool:
     """Whether a sample over a 3-saturated base that passed build's lifting check is 3-saturated.
 
-    When the bond is a quotient map, the lifting lemma (README) leaves only
-    the pairs inside one fiber to scan; otherwise the whole sample is
-    scanned.
+    ``rep`` is that check's report.  When it finds the bond a quotient map,
+    the lifting lemma (README) leaves only the pairs inside one fiber to
+    scan; otherwise the whole sample is scanned.
     """
-    if _check_division_quotient(graph, base, m + 1) is None:
+    if rep.quotient is None:
         return _missing_type_collapsed(graph, m + 1) is None
     return is_n_saturated(graph, 3).holds

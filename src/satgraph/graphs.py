@@ -11,6 +11,7 @@ approximate.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -202,8 +203,14 @@ class TypeSpec:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # a tuple of int pairs whatever the input, so that equal specs are equal
+        # and hashable; int() would truncate 1.5 onto vertex 1
+        try:
+            pairs = [(operator.index(v), operator.index(b)) for v, b in self.pairs]
+        except TypeError as exc:
+            raise ValueError("type vertices and values must be integers") from exc
         seen = set()
-        for v, b in self.pairs:
+        for v, b in pairs:
             if v < 0:
                 raise ValueError("negative vertex in type domain")
             if b not in (0, 1):
@@ -211,16 +218,13 @@ class TypeSpec:
             if v in seen:
                 raise ValueError("duplicate vertex in type domain")
             seen.add(v)
-        # a tuple of int pairs whatever the input, so that equal specs are equal and hashable
-        object.__setattr__(self, "pairs", tuple(sorted((int(v), int(b)) for v, b in self.pairs)))
+        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
     @classmethod
     def coerce(cls, f: TypeLike) -> "TypeSpec":
         if isinstance(f, TypeSpec):
             return f
-        if isinstance(f, Mapping):
-            return cls(tuple(sorted((int(v), int(b)) for v, b in f.items())))
-        return cls(tuple(sorted((int(v), int(b)) for v, b in f)))
+        return cls(tuple(f.items() if isinstance(f, Mapping) else f))
 
     @property
     def domain(self) -> tuple[int, ...]:

@@ -21,13 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .builder import (
-    LiftingReport,
-    _check_division_quotient,
-    _first_accepted,
-    build_extension,
-    check_product_lifting,
-)
+from .builder import LiftingReport, _first_accepted, build_extension, check_product_lifting
 from .graphs import FiniteGraph, TypeSpec, _missing_type_collapsed, find_realizer, is_n_saturated
 
 
@@ -223,12 +217,12 @@ def verify_tower(t: Tower) -> TowerReport:
 
     Checks, in order: structural consistency (level sizes match the
     product encoding, every m >= 1) and the complete level 0; exhaustive
-    n-saturation of every level above 0; each bond a quotient map, decided
-    on packed fiber unions (:func:`~satgraph.builder._check_division_quotient`);
-    each bond's lifting guarantee for configurations over distinct base
+    n-saturation of every level above 0; each bond a quotient map; each
+    bond's lifting guarantee for configurations over distinct base
     vertices; and one-step splitting (every vertex has at least two
     preimages one level up).  The bonds are the division maps derived from
-    ``per_level_m``.
+    ``per_level_m``.  One :func:`~satgraph.builder.check_product_lifting`
+    pass per bond, cached, decides both its quotient and its lifting check.
 
     The lifting check uses the distinct-bases form because that is what
     the limit needs: ``realize_type`` lifts only above the separation
@@ -237,9 +231,9 @@ def verify_tower(t: Tower) -> TowerReport:
     acceptance rule; it decides which sample becomes the tower, so it
     cannot change without changing towers.
 
-    At n = 3, the quotient and lifting checks of the bond below a level
-    above 1 run before that level's saturation, and are reused in their
-    own place in the order.  When both pass, the lifting lemma (README)
+    At n = 3, the pass over the bond below a level above 1 runs before
+    that level's saturation, and its report is reused in its own place in
+    the order.  When both its checks pass, the lifting lemma (README)
     leaves only the pairs inside one fiber to scan; when either fails, the
     whole level is scanned.  Either way the reported check and
     counterexample are the full scan's.
@@ -272,18 +266,14 @@ def verify_tower(t: Tower) -> TowerReport:
     passed("structure")
 
     @functools.cache
-    def quotient(d: int) -> Optional[str]:
-        return _check_division_quotient(t.levels[d + 1], t.levels[d], t.per_level_m[d] + 1)
-
-    @functools.cache
-    def lifting(d: int) -> LiftingReport:
+    def bond(d: int) -> LiftingReport:
         return check_product_lifting(t.levels[d + 1], t.levels[d], t.per_level_m[d], t.n, distinct_bases=True)
 
     for d in range(1, len(t.levels)):
         # level d-1 >= 1 passed this loop; with a bond below level d that is a
         # quotient and lifts, the lifting lemma leaves only the pairs inside
         # a fiber to scan
-        if t.n == 3 and d >= 2 and quotient(d - 1) is None and lifting(d - 1).holds:
+        if t.n == 3 and d >= 2 and bond(d - 1).quotient is None and bond(d - 1).holds:
             missing = _missing_type_collapsed(t.levels[d], t.per_level_m[d - 1] + 1)
         else:
             missing = is_n_saturated(t.levels[d], t.n).counterexample
@@ -296,13 +286,13 @@ def verify_tower(t: Tower) -> TowerReport:
         passed(f"saturation[level {d}]")
 
     for d in range(len(t.per_level_m)):
-        detail = quotient(d)
+        detail = bond(d).quotient
         if detail is not None:
             return failed(f"quotient[bond {d}]", detail)
         passed(f"quotient[bond {d}]")
 
     for d in range(len(t.per_level_m)):
-        rep = lifting(d)
+        rep = bond(d)
         if not rep.holds:
             i, targets = rep.counterexample
             return failed(

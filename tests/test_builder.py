@@ -550,6 +550,19 @@ def test_build_requires_weakly_saturated_base():
         build_extension(2, lonely, seed=0, m=2)
 
 
+def test_build_refuses_m0_before_scanning_the_base(monkeypatch):
+    # the base is not weakly 2-saturated, but the bad m is reported first,
+    # without any saturation scan
+    def no_scan(*args):
+        raise AssertionError("scanned the base")
+
+    monkeypatch.setattr(builder, "is_n_saturated", no_scan)
+    monkeypatch.setattr(builder, "is_weakly_n_saturated", no_scan)
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            build_extension(n, FiniteGraph.from_edges(2, []), seed=0, m=0)
+
+
 def test_build_exhaustion_raises():
     with pytest.raises(AttemptsExhausted) as exc:
         build_extension(3, FiniteGraph.complete(3), seed=0, m=1, max_attempts=3)

@@ -301,6 +301,12 @@ def test_typespec_normalizes_and_validates():
         TypeSpec(((0, 2),))
     with pytest.raises(ValueError):
         TypeSpec(((0, 1), (0, 0)))
+    # non-integral vertices and bits are refused, not truncated onto another vertex
+    for given in (((1.5, 1), (1, 0)), ((0, 1.0),)):
+        with pytest.raises(ValueError, match="integers"):
+            TypeSpec(given)
+    with pytest.raises(ValueError, match="integers"):
+        TypeSpec.coerce({1.5: 1, 1: 0})
 
 
 def test_scan_screen_fallback_beyond_leading_words():

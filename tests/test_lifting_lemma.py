@@ -110,12 +110,12 @@ def test_planted_hole_over_two_fibers_breaks_a_premise(tower_n3_depth2, fully_sc
     level1, top = t.levels[1], t.levels[2]
     planted = plant_hole(top, 5, 82 + 7, sign)
     assert graphs._missing_type_collapsed(planted, 82) is None
-    quotient = builder._check_division_quotient(planted, level1, 82)
+    rep = check_product_lifting(planted, level1, 81, 3, distinct_bases=True)
     if sign == 0:
-        assert quotient is not None
+        assert rep.quotient is not None
     else:
-        assert quotient is None
-        assert not check_product_lifting(planted, level1, 81, 3, distinct_bases=True).holds
+        assert rep.quotient is None
+        assert not rep.holds
     report = verify_tower(Tower(3, t.seed, t.levels[:2] + (planted,), t.per_level_m))
     assert report.first_failure == full_scan_text(planted, 2)
     assert fully_scanned == [120, 9840]  # the premise failed, so level 2 was scanned whole

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from satgraph.builder import (
-    _check_division_quotient,
+    LiftingReport,
     attempt_seed,
     build_extension,
     check_product_lifting,
@@ -33,7 +33,7 @@ from satgraph.towers import (
 )
 
 from conftest import division_map, without_edges
-from reference_loops import compose, division_quotient_loops, is_quotient_map
+from reference_loops import compose, division_quotient_loops, is_quotient_map, product_lifting_loops
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +171,10 @@ def test_verify_catches_added_edge(t2_small):
 
 
 def quotient_message(g: FiniteGraph, base: FiniteGraph, copies: int):
-    """The quotient check's message, which must be the reference loop's."""
-    got = _check_division_quotient(g, base, copies)
+    """The quotient check's message, which must be the reference loop's at n = 1 and n = 2."""
+    got = check_product_lifting(g, base, copies - 1, 1).quotient
     assert got == division_quotient_loops(g, base, copies)
+    assert check_product_lifting(g, base, copies - 1, 2).quotient == got
     return got
 
 
@@ -227,7 +228,8 @@ def test_quotient_messages_on_planted_cross_edges(t2):
 def test_quotient_skips_rows_that_only_miss_part_of_a_fiber(t2):
     # base vertex 0's fiber loses its edges to one copy of a neighbour j, so
     # its fiber union differs from its spread base row while fibers 0 and j
-    # still meet; the first real mismatch is an edge planted in a later row
+    # still meet; the first real mismatch is an edge planted in a later row.
+    # Lifting fails at base vertex 0, and the same pass still reports it
     base, top = t2.levels[1], t2.levels[2]
     copies = t2.per_level_m[1] + 1
     k = base.vertex_count
@@ -238,6 +240,62 @@ def test_quotient_skips_rows_that_only_miss_part_of_a_fiber(t2):
     p, q = next((p, q) for p in range(max(2, j + 1), k) for q in range(p + 1, k) if not base.adjacent(p, q))
     g = FiniteGraph.from_edges(g.vertex_count, g.edges() + [(p * copies, q * copies + 1)])
     assert quotient_message(g, base, copies) == f"an edge between fibers {p} and {q} maps onto a non-edge"
+    rep = check_product_lifting(g, base, copies - 1, 3)
+    assert not rep.holds
+    assert rep.counterexample == product_lifting_loops(g, base, copies - 1, 3) == (0, (j * copies,))
+    assert rep.quotient == division_quotient_loops(g, base, copies)
+
+
+def test_lifting_failure_after_a_quotient_failure_is_reported(t2):
+    # an edge planted from fiber 0 breaks the quotient in row 0, and the last
+    # base vertex's fiber loses its edges to one copy of a neighbour
+    base, top = t2.levels[1], t2.levels[2]
+    copies = t2.per_level_m[1] + 1
+    k = base.vertex_count
+    q = next(q for q in range(1, k) if not base.adjacent(0, q))
+    g = FiniteGraph.from_edges(top.vertex_count, top.edges() + [(1, q * copies)])
+    i = k - 1
+    t = next(j for j in range(k - 1) if base.adjacent(i, j)) * copies
+    g = without_edges(g, [(u, t) for u in range(i * copies, k * copies) if g.adjacent(u, t)])
+    message = f"an edge between fibers 0 and {q} maps onto a non-edge"
+    assert division_quotient_loops(g, base, copies) == message
+    assert check_product_lifting(g, base, copies - 1, 2) == LiftingReport(False, (i, (t,)), message)
+    rep = check_product_lifting(g, base, copies - 1, 3)
+    assert (rep.counterexample, rep.quotient) == (product_lifting_loops(g, base, copies - 1, 3), message)
+
+
+@pytest.mark.parametrize("late", ["quotient", "lifting"])
+def test_each_check_reports_its_first_failure_in_a_later_chunk(late):
+    # 2,900 base vertices in three cliques (by residue mod 3), two copies
+    # each: V = 5,800, so the pass's chunks of (1 << 24) // V base vertices
+    # leave the last 8 to a second chunk.  One check fails at base vertex 0,
+    # the other only in the second chunk, where it must still be decided
+    k, copies = 2900, 2
+    assert (1 << 24) // (k * copies) < 2895 < k
+    residue = np.arange(k) % 3
+    base_dense = (residue[:, None] == residue[None, :]).astype(np.uint8)
+    dense = np.repeat(np.repeat(base_dense, copies, axis=0), copies, axis=1)
+    lift_at, quot_at = (0, 2895) if late == "quotient" else (2895, 0)
+    # fiber lift_at loses its edges to copy 0 of base neighbour lift_at + 3
+    dense[2 * lift_at : 2 * lift_at + 2, 2 * lift_at + 6] = 0
+    dense[2 * lift_at + 6, 2 * lift_at : 2 * lift_at + 2] = 0
+    # an edge between the fibers over non-adjacent quot_at and quot_at + 1
+    dense[2 * quot_at, 2 * quot_at + 2] = dense[2 * quot_at + 2, 2 * quot_at] = 1
+    base, g = FiniteGraph.from_dense(base_dense), FiniteGraph.from_dense(dense)
+    message = f"an edge between fibers {quot_at} and {quot_at + 1} maps onto a non-edge"
+    rep = check_product_lifting(g, base, copies - 1, 2)
+    assert (rep.holds, rep.counterexample, rep.quotient) == (False, (lift_at, (2 * lift_at + 6,)), message)
+    assert check_product_lifting(g, base, copies - 1, 1) == LiftingReport(True, None, message)
+
+
+def test_verify_reports_a_quotient_failure_at_n1():
+    # at n = 1 lifting holds trivially, but the bond must still be a quotient
+    # map: fibers {0, 1} and {2, 3} of level 2 meet over a non-edge of level 1
+    # (bond 0 onto K1 cannot fail, since every fiber carries its loops)
+    level2 = FiniteGraph.from_edges(4, [(0, 1), (2, 3), (1, 2)])
+    levels = (FiniteGraph.complete(1), FiniteGraph.from_edges(2, []), level2)
+    report = verify_tower(Tower(1, 0, levels, (1, 1)))
+    assert report.first_failure == "quotient[bond 1]: an edge between fibers 0 and 1 maps onto a non-edge"
 
 
 def test_verify_structure_failures(t2_small):
