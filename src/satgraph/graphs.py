@@ -551,26 +551,3 @@ def is_weakly_n_saturated(g: FiniteGraph, n: int) -> SaturationReport:
     """
     return _saturation(g, n, ones_only=True)
 
-
-def oracle_is_n_saturated(g: FiniteGraph, n: int) -> bool:
-    """Reference checker: literal enumeration, no subset-size reduction, no masks.
-
-    Deliberately written independently of the optimized scan so the two can
-    cross-validate each other.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    v = g.vertex_count
-    for size in range(n):
-        for subset in itertools.combinations(range(v), size):
-            for bits in itertools.product((0, 1), repeat=size):
-                found = False
-                for w in range(v):
-                    if w in subset:
-                        continue
-                    if all(g.adjacent(w, a) == bool(b) for a, b in zip(subset, bits)):
-                        found = True
-                        break
-                if not found:
-                    return False
-    return True

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -49,7 +50,12 @@ class ThreadPrefix:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("a thread prefix needs at least the level-0 entry")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        # int() would truncate 1.5 onto vertex 1
+        try:
+            entries = tuple(map(operator.index, self.entries))
+        except TypeError as exc:
+            raise ValueError("thread prefix entries must be integers") from exc
+        object.__setattr__(self, "entries", entries)
 
     @property
     def depth(self) -> int:
@@ -354,17 +360,22 @@ def canonical_extension(t: Tower, prefix: ThreadLike, target_depth: int) -> Thre
     return ThreadPrefix(tuple(entries))
 
 
+def _entries_below(t: Tower, level: int, vertex: int) -> list[int]:
+    """Entries 0..level of every thread through (level, vertex): its bond images."""
+    entries = [0] * (level + 1)
+    entries[level] = vertex
+    for d in range(level - 1, -1, -1):
+        entries[d] = entries[d + 1] // (t.per_level_m[d] + 1)
+    return entries
+
+
 def canonical_thread(t: Tower, level: int, vertex: int) -> ThreadPrefix:
     """Full-depth thread through (level, vertex): bond images below, copy 0 above."""
     if not 0 <= level <= t.depth:
         raise ValueError("level out of range")
     if not 0 <= vertex < t.levels[level].vertex_count:
         raise ValueError("vertex out of range")
-    entries = [0] * (level + 1)
-    entries[level] = vertex
-    for d in range(level - 1, -1, -1):
-        entries[d] = entries[d + 1] // (t.per_level_m[d] + 1)
-    return canonical_extension(t, ThreadPrefix(tuple(entries)), t.depth)
+    return canonical_extension(t, ThreadPrefix(tuple(_entries_below(t, level, vertex))), t.depth)
 
 
 def random_thread(t: Tower, seed: int) -> ThreadPrefix:
@@ -378,13 +389,12 @@ def random_thread(t: Tower, seed: int) -> ThreadPrefix:
 
 def adjacency_status(t: Tower, a: ThreadLike, b: ThreadLike, depth: int) -> AdjacencyStatus:
     """First level up to ``depth`` separating the threads, if any."""
-    a, b = _coerce_prefix(a), _coerce_prefix(b)
+    a, b = validate_prefix(t, a), validate_prefix(t, b)
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    # a valid prefix is no deeper than the tower, so neither is depth
     if depth > a.depth or depth > b.depth:
         raise ValueError("depth exceeds a prefix's materialized depth")
-    if depth > t.depth:
-        raise ValueError("depth exceeds tower depth")
     for level in range(depth + 1):
         if not t.levels[level].adjacent(a.entries[level], b.entries[level]):
             return AdjacencyStatus(depth, level)
@@ -401,11 +411,7 @@ def _first_difference(a: ThreadPrefix, b: ThreadPrefix) -> Optional[int]:
     return None
 
 
-def realize_type(
-    t: Tower,
-    constraints: Iterable[tuple[ThreadLike, int]],
-    auto_extend: bool = False,
-) -> RealizerHandle:
+def realize_type(t: Tower, constraints: Iterable[tuple[ThreadLike, int]]) -> RealizerHandle:
     """Produce a thread prefix realizing a 0/1 prescription over given threads.
 
     At the separation level (first level where the constraint threads are
@@ -416,17 +422,22 @@ def realize_type(
     guarantees to exist.  Negative constraints are therefore non-adjacent
     at the separation level, a definitive certificate for the limit.
 
-    Bond-consistent distinct prefixes always separate within their
-    materialized depth, so ``auto_extend`` only matters when realization
-    needs a level the tower does not have yet (a depth-0 tower and a type
-    with zeros); it then grows the tower with the certified m, and the
-    returned handle matches ``extend_tower(t)``.
+    Realization is a query: it reads only the materialized levels and
+    never grows the tower.  It raises :class:`NotSeparated` when no level
+    up to ``t.depth`` has a realizer; for distinct constraint prefixes
+    that happens only on a depth-0 tower and a type with a zero, which
+    :func:`extend_tower` makes realizable at level 1.
     """
     cons: list[tuple[ThreadPrefix, int]] = []
     for prefix, bit in constraints:
+        # the bit rule of TypeSpec: int() would accept 1.0
+        try:
+            bit = operator.index(bit)
+        except TypeError as exc:
+            raise ValueError("constraint bits must be 0 or 1") from exc
         if bit not in (0, 1):
             raise ValueError("constraint bits must be 0 or 1")
-        cons.append((canonical_extension(t, prefix, t.depth), int(bit)))
+        cons.append((canonical_extension(t, prefix, t.depth), bit))
     if len(cons) > t.n - 1:
         raise TooManyConstraints(f"at most {t.n - 1} constraints allowed, got {len(cons)}")
 
@@ -441,32 +452,18 @@ def realize_type(
                 )
             separation = max(separation, diff)
 
-    level = separation
-    realizer: Optional[int] = None
-    while True:
-        while level <= t.depth:
-            wanted = TypeSpec(tuple((c.entries[level], bit) for c, bit in cons))
-            realizer = find_realizer(t.levels[level], wanted)
-            if realizer is not None:
-                break
-            level += 1
+    for level in range(separation, t.depth + 1):
+        wanted = TypeSpec(tuple((c.entries[level], bit) for c, bit in cons))
+        realizer = find_realizer(t.levels[level], wanted)
         if realizer is not None:
             break
-        if not auto_extend:
-            raise NotSeparated(
-                "the type is not realizable at any materialized level; "
-                "extend the tower or pass auto_extend=True"
-            )
-        t = extend_tower(t)
-        cons = [(canonical_extension(t, c, t.depth), bit) for c, bit in cons]
+    else:
+        raise NotSeparated("the type is not realizable at any materialized level; extend the tower")
 
-    entries = [0] * (t.depth + 1)
-    entries[level] = realizer
-    for d in range(level - 1, -1, -1):
-        entries[d] = entries[d + 1] // (t.per_level_m[d] + 1)
+    entries = _entries_below(t, level, realizer)
     positives = tuple(c for c, bit in cons if bit == 1)
     for d in range(level, t.depth):
-        entries[d + 1] = _lift_step(t, d, entries[d], positives)
+        entries.append(_lift_step(t, d, entries[d], positives))
     return RealizerHandle(
         prefix=ThreadPrefix(tuple(entries)),
         separation_level=level,

@@ -23,7 +23,6 @@ from satgraph.cli import EXIT_OK, EXIT_VERIFY, main
 from satgraph.graphs import (
     FiniteGraph,
     is_n_saturated,
-    oracle_is_n_saturated,
     random_graph,
 )
 from satgraph.serialize import decode_tower, encode_tower, load_tower, save_tower
@@ -36,7 +35,7 @@ from satgraph.towers import (
 )
 
 from conftest import division_map
-from reference_loops import is_quotient_map
+from reference_loops import first_missing_type_loops, is_quotient_map
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -53,13 +52,13 @@ def test_acceptance_1_oracle_equivalence():
         g = FiniteGraph.from_edges(4, [p for p, b in zip(pairs, bits) if b])
         count4 += 1
         for n in (1, 2, 3):
-            if is_n_saturated(g, n).holds != oracle_is_n_saturated(g, n):
+            if is_n_saturated(g, n).holds != (first_missing_type_loops(g, n, False) is None):
                 disagreements += 1
     assert count4 == 64
     for seed in range(100):
         g = random_graph(4 + seed % 9, seed=seed)
         for n in (2, 3, 4):
-            if is_n_saturated(g, n).holds != oracle_is_n_saturated(g, n):
+            if is_n_saturated(g, n).holds != (first_missing_type_loops(g, n, False) is None):
                 disagreements += 1
     elapsed = time.perf_counter() - start
     report(

@@ -17,7 +17,6 @@ from satgraph.graphs import (
     find_realizer,
     is_n_saturated,
     is_weakly_n_saturated,
-    oracle_is_n_saturated,
     random_graph,
     realizes,
 )
@@ -233,31 +232,27 @@ def test_oracle_agreement_exhaustive_four_vertices():
     count = 0
     for g in all_graphs(4):
         for n in (1, 2, 3):
-            assert is_n_saturated(g, n).holds == oracle_is_n_saturated(g, n)
+            assert is_n_saturated(g, n).holds == (first_missing_type_loops(g, n, False) is None)
         count += 1
     assert count == 64
 
 
 def test_oracle_agreement_trivial_cases():
-    assert is_n_saturated(FiniteGraph.complete(3), 2).holds == oracle_is_n_saturated(
-        FiniteGraph.complete(3), 2
-    )
-    assert is_n_saturated(FiniteGraph.cycle(5), 2).holds == oracle_is_n_saturated(
-        FiniteGraph.cycle(5), 2
-    )
+    for g in (FiniteGraph.complete(3), FiniteGraph.cycle(5)):
+        assert is_n_saturated(g, 2).holds == (first_missing_type_loops(g, 2, False) is None)
 
 
 def test_oracle_agreement_random_graphs():
     for seed in range(40):
         g = random_graph(3 + seed % 10, seed=seed)
         for n in (2, 3, 4):
-            assert is_n_saturated(g, n).holds == oracle_is_n_saturated(g, n)
+            assert is_n_saturated(g, n).holds == (first_missing_type_loops(g, n, False) is None)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), st.integers(min_value=1, max_value=4))
 def test_oracle_agreement_property(g, n):
-    assert is_n_saturated(g, n).holds == oracle_is_n_saturated(g, n)
+    assert is_n_saturated(g, n).holds == (first_missing_type_loops(g, n, False) is None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -870,4 +865,4 @@ def test_paley_below_the_weil_bound_matches_reference(q):
     for n in (3, 4):
         assert is_n_saturated(g, n).counterexample == scan_missing_type(g, n, ones_only=False)
         if q <= 13:
-            assert is_n_saturated(g, n).holds == oracle_is_n_saturated(g, n)
+            assert is_n_saturated(g, n).holds == (first_missing_type_loops(g, n, False) is None)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,15 @@ def test_canonical_extension_and_validation(t2_small):
         canonical_extension(t2_small, full, 1)
     with pytest.raises(ValueError):
         validate_prefix(t2_small, ThreadPrefix((0, 1, 0)))
+    # entries are integers, never truncated onto another vertex; numpy
+    # integers (random_thread's draws, CLI payloads) are normalized to int
+    for bad in ((1.5, 7.9), (0, 0.0), ("0",)):
+        with pytest.raises(ValueError, match="must be integers"):
+            ThreadPrefix(bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            validate_prefix(t2_small, bad)
+    p = ThreadPrefix((np.int64(0), np.uint16(1)))
+    assert p.entries == (0, 1) and all(type(e) is int for e in p.entries)
 
 
 def test_canonical_extension_nonzero_root(t2_small):
@@ -418,6 +429,14 @@ def test_adjacency_status_rejects_negative_depth(t2_small):
     a = canonical_thread(t2_small, 0, 0)
     with pytest.raises(ValueError, match="non-negative"):
         adjacency_status(t2_small, a, a, -1)
+    # prefixes are validated like everywhere else: 13 // 7 != 0, and 14 is
+    # past level 1 of this tower
+    t = extend_tower(new_tower(2, seed=5))
+    assert t.per_level_m == (6,)
+    with pytest.raises(ValueError, match="bond-consistent"):
+        adjacency_status(t, (0, 13), (1, 2), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        adjacency_status(t, (0, 0), (1, 14), 1)
 
 
 def test_adjacency_status_finds_separating_level(t2_small):
@@ -485,7 +504,7 @@ def test_realize_identical_prefixes_never_separate(t2_small):
     t3 = extend_tower(new_tower(3, seed=11), max_attempts=100)
     a = canonical_thread(t3, 0, 0)
     with pytest.raises(NotSeparated):
-        realize_type(t3, [(a, 1), (a, 0)], auto_extend=True)
+        realize_type(t3, [(a, 1), (a, 0)])
 
 
 def test_realize_positive_constraint(t2_small):
@@ -521,13 +540,44 @@ def test_realize_mixed_type_n3():
     assert not adjacency_status(t, h.prefix, b, 1).adjacent_through_depth
 
 
+def test_realize_bits_follow_the_typespec_rule(t2_small):
+    c = random_thread(t2_small, 0)
+    for bit in (1.0, 0.5, "1", None, 2, -1):
+        with pytest.raises(ValueError, match="0 or 1"):
+            realize_type(t2_small, [(c, bit)])
+        with pytest.raises(ValueError):
+            TypeSpec(((0, bit),))
+    assert realize_type(t2_small, [(c, np.int64(1))]) == realize_type(t2_small, [(c, 1)])
+
+
+def test_realize_every_small_type_exhaustively(t2_small):
+    # bounded-exhaustive: every full-depth thread of an n=2 depth-2 tower
+    # with both bits, every pair of distinct full-depth threads of an n=3
+    # depth-1 tower with all four bit pairs
+    t3 = extend_tower(new_tower(3, seed=2))
+    cases = 0
+    for t in (t2_small, t3):
+        top = t.levels[-1].vertex_count
+        threads = [canonical_thread(t, t.depth, v) for v in range(top)]
+        for chosen in itertools.combinations(threads, t.n - 1):
+            for bits in itertools.product((0, 1), repeat=t.n - 1):
+                h = realize_type(t, list(zip(chosen, bits)))
+                assert check_realization(t, h) == (True, None)
+                s = h.separation_level
+                for c in h.negative:
+                    assert not t.levels[s].adjacent(h.prefix.entries[s], c.entries[s])
+                cases += 1
+    assert [g.vertex_count for g in t2_small.levels + t3.levels] == [2, 10, 120, 3, 120]
+    assert cases == 2 * 120 + 4 * (120 * 119 // 2)
+
+
 def test_realize_zero_type_on_depth0_requires_extension():
     t0 = new_tower(2, seed=21)
     c = ThreadPrefix((0,))
-    with pytest.raises(NotSeparated):
+    with pytest.raises(NotSeparated, match="extend the tower"):
         realize_type(t0, [(c, 0)])
-    h = realize_type(t0, [(c, 0)], auto_extend=True)
     grown = extend_tower(t0)
+    h = realize_type(grown, [(c, 0)])
     ok, why = check_realization(grown, h)
     assert ok, why
     assert h.separation_level == 1
