@@ -48,7 +48,7 @@ graph, attempts = build_extension(3, base, seed=11)
 m = graph.vertex_count // 3 - 1
 print(f"sampled graph: {graph} (m={m}, attempts={attempts})")
 print(f"exhaustively 3-saturated: {is_n_saturated(graph, 3).holds}")
-print(f"fiber lifting guarantee:  {check_product_lifting(graph, base, m, 3).holds}")
+print(f"fiber lifting guarantee:  {check_product_lifting(graph, base, 3).holds}")
 print(f"division bond v -> v // {m + 1} maps {graph.vertex_count} vertices onto "
       f"{base.vertex_count} fibers")
 

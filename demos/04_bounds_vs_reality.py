@@ -29,7 +29,7 @@ for m in range(3, 9):
     for trial in range(TRIALS):
         seed = np.random.SeedSequence(entropy=0, spawn_key=(m, trial))
         g = sample_product_graph(base, m, seed)
-        if is_n_saturated(g, 2).holds and check_product_lifting(g, base, m, 2).holds:
+        if is_n_saturated(g, 2).holds and check_product_lifting(g, base, 2).holds:
             ok += 1
     bound = saturation_failure_bound(2, 2, m) + lifting_failure_bound(2, 2, m)
     floor = max(0.0, 1.0 - float(bound))

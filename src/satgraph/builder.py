@@ -243,13 +243,14 @@ def _first_uncovered_tuple(
 def check_product_lifting(
     g: FiniteGraph,
     base: FiniteGraph,
-    m: int,
     n: int,
+    *,
     distinct_bases: bool = False,
 ) -> LiftingReport:
     """Decide the lifting guarantee and the quotient check of one division bond in one pass.
 
-    For each base vertex i and every choice of at most n-1 product vertices
+    The bond has V/k copies per base vertex, so k must divide V.  For each
+    base vertex i and every choice of at most n-1 product vertices
     lying over base neighbours of i (repeats allowed; pass
     ``distinct_bases=True`` to restrict to configurations over pairwise
     distinct base vertices), some copy (i, l) must be adjacent to all of
@@ -285,9 +286,9 @@ def check_product_lifting(
     if n < 1:
         raise ValueError("n must be at least 1")
     k = base.vertex_count
-    copies = m + 1
     v = g.vertex_count
-    if v != k * copies:
+    copies, rest = divmod(v, k)
+    if rest:
         raise ValueError("graph size does not match the product encoding")
     base_bits = _bits.unpack_rows(base.packed_rows, k)
     union = np.bitwise_or.reduce(g.packed_rows.reshape(k, copies, -1), axis=1)
@@ -407,11 +408,11 @@ def _first_accepted(
         graph = None  # release the rejected sample before drawing anew
         graph = sample_product_graph(base, m, attempt_seed(seed, attempt))
         if lemma:
-            rep = check_product_lifting(graph, base, m, n)
+            rep = check_product_lifting(graph, base, n)
             accepted = rep.holds and (graph == known or _saturated_by_lemma(graph, rep, m))
         else:
             saturated = graph == known or is_n_saturated(graph, n).holds
-            accepted = saturated and check_product_lifting(graph, base, m, n).holds
+            accepted = saturated and check_product_lifting(graph, base, n).holds
         if accepted:
             return graph, attempt + 1
     raise AttemptsExhausted(attempts, m)

@@ -240,7 +240,7 @@ def _cmd_stats(args) -> int:
             g = sample_product_graph(base, m, ss)
             sat = is_n_saturated(g, args.n).holds
             saturated += sat
-            joint += sat and check_product_lifting(g, base, m, args.n).holds
+            joint += sat and check_product_lifting(g, base, args.n).holds
         sat_bound = saturation_failure_bound(args.n, args.k, m)
         lift_bound = lifting_failure_bound(args.n, args.k, m)
         print(

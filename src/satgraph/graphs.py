@@ -34,6 +34,10 @@ class FiniteGraph:
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
         w = _bits.word_count(vertex_count)
+        if validate:  # no cast of 3.7 onto 3, and a copy the caller cannot change once checked
+            if np.asarray(packed).dtype.kind not in "iu":
+                raise ValueError("packed rows must be integer words")
+            packed = np.array(packed, dtype=np.uint64)
         packed = np.ascontiguousarray(packed, dtype=np.uint64)
         if packed.shape != (vertex_count, w):
             raise ValueError(f"packed rows must have shape ({vertex_count}, {w})")
@@ -55,9 +59,12 @@ class FiniteGraph:
         # in chunks: converting nested lists, np.asarray keeps bookkeeping
         # for every pair that outweighs the int64 result about twice over
         for e0 in range(0, len(edges), 1 << 14):
-            edge_arr = np.asarray(edges[e0 : e0 + (1 << 14)], dtype=np.int64)
+            edge_arr = np.asarray(edges[e0 : e0 + (1 << 14)])
             if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
                 raise ValueError("edges must be pairs")
+            if edge_arr.dtype.kind not in "iu":  # no cast of 1.5 onto vertex 1
+                raise ValueError("edge endpoints must be integers")
+            edge_arr = edge_arr.astype(np.int64, copy=False)
             a, b = edge_arr[:, 0], edge_arr[:, 1]
             if (a < 0).any() or (b < 0).any() or (a >= vertex_count).any() or (b >= vertex_count).any():
                 raise ValueError("edge endpoint out of range")
@@ -73,6 +80,7 @@ class FiniteGraph:
     def from_rows(cls, masks: Sequence[int]) -> "FiniteGraph":
         """Build from per-vertex neighbour masks given as Python ints."""
         v = len(masks)
+        masks = [operator.index(m) for m in masks]  # numpy integers pass, 1.5 raises TypeError
         if any(not 0 <= m < 1 << v for m in masks):
             raise ValueError("neighbour mask out of vertex range")
         packed = np.stack([_bits.int_to_row(m, v) for m in masks])
@@ -80,10 +88,13 @@ class FiniteGraph:
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray) -> "FiniteGraph":
-        matrix = np.asarray(matrix, dtype=np.uint8)
+        matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        return cls(matrix.shape[0], _bits.pack_bits(matrix), validate=True)
+        # a cast to uint8 would read 0.6 as no edge and 257 as an edge
+        if matrix.dtype.kind not in "biu" or ((matrix != 0) & (matrix != 1)).any():
+            raise ValueError("adjacency entries must be 0 or 1")
+        return cls(matrix.shape[0], _bits.pack_bits(matrix.astype(np.uint8)), validate=True)
 
     @classmethod
     def complete(cls, n: int) -> "FiniteGraph":

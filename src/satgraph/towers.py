@@ -85,12 +85,13 @@ class AdjacencyStatus:
 
 @dataclass(frozen=True)
 class RealizerHandle:
-    """A realizing thread prefix plus the data needed to verify and extend it.
+    """A realizing thread prefix plus the data needed to verify it.
 
     ``separation_level`` is the level where the constraint threads project
     injectively and the type was realized; negative constraints are
     non-adjacent there, which already kills limit adjacency.  Positive
-    constraints are adjacent at every materialized level.
+    constraints are adjacent at every materialized level.  After the tower
+    grows, :func:`realize_type` on it extends the handle (README).
     """
 
     prefix: ThreadPrefix
@@ -273,7 +274,7 @@ def verify_tower(t: Tower) -> TowerReport:
 
     @functools.cache
     def bond(d: int) -> LiftingReport:
-        return check_product_lifting(t.levels[d + 1], t.levels[d], t.per_level_m[d], t.n, distinct_bases=True)
+        return check_product_lifting(t.levels[d + 1], t.levels[d], t.n, distinct_bases=True)
 
     for d in range(1, len(t.levels)):
         # level d-1 >= 1 passed this loop; with a bond below level d that is a
@@ -482,27 +483,6 @@ def _lift_step(t: Tower, d: int, current: int, positives: Sequence[ThreadPrefix]
             return w
     raise RuntimeError(
         f"no admissible lift at level {d + 1}: the tower's lifting invariant is broken"
-    )
-
-
-def extend_realizer(t: Tower, h: RealizerHandle) -> RealizerHandle:
-    """Extend a realizer one level after the tower has grown.
-
-    Constraint threads are extended canonically; the realizer entry is the
-    smallest admissible preimage, so extending twice step by step equals
-    extending once on the deeper tower.
-    """
-    hd = h.prefix.depth
-    if t.depth <= hd:
-        raise ValueError("tower has not grown beyond the handle's depth")
-    positives = tuple(canonical_extension(t, p, hd + 1) for p in h.positive)
-    negatives = tuple(canonical_extension(t, p, hd + 1) for p in h.negative)
-    entries = h.prefix.entries + (_lift_step(t, hd, h.prefix.entries[hd], positives),)
-    return RealizerHandle(
-        prefix=ThreadPrefix(entries),
-        separation_level=h.separation_level,
-        positive=positives,
-        negative=negatives,
     )
 
 

@@ -11,6 +11,13 @@ from satgraph.towers import Tower, extend_tower, new_tower
 from reference_loops import GraphMap
 
 
+def all_graphs(v):
+    """Every graph on ``v`` vertices, in the order of its cross-pair bits."""
+    pairs = list(itertools.combinations(range(v), 2))
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        yield FiniteGraph.from_edges(v, [p for p, b in zip(pairs, bits) if b])
+
+
 def division_map(g: FiniteGraph, base: FiniteGraph, m: int) -> GraphMap:
     """The fiber projection ``v -> v // (m+1)`` of a product graph onto its base."""
     return GraphMap(g, base, np.arange(g.vertex_count) // (m + 1))

@@ -16,6 +16,12 @@ when the base has such a pair.  For n = 3 and n = 4, in both modes,
 check_product_lifting must report the counterexample of
 product_lifting_loops, and the quotient message of division_quotient_loops.
 
+The every-graph pass takes every graph on 6 vertices (32,768) over K3, the
+path P3 and the edgeless 3-vertex graph at m = 1, and over K2 and the
+edgeless 2-vertex graph at m = 2.  The quotient message of
+check_product_lifting must be that of division_quotient_loops, and be None
+exactly when is_quotient_map accepts the division map.
+
 Scan case j draws, from seed j, a random graph (n = 4 on 5 to 149
 vertices, or n = 5 on 5 to 23), a sample over K4 (n = 4, m 10 to 59) or a
 sample over K5 (n = 5, m 3 to 9).  In one case of two, every realizer of a
@@ -30,7 +36,8 @@ rows at groups 1, 2, 4, 8 and 16, inside the few groups of these graphs.
 
 The script stops at the first mismatch with exit status 1 and prints the
 case; otherwise it prints how the checks ended.  6,000 lifting cases take
-about 2.9 minutes on one core, and 1,000 scan cases about 5.8.
+about 2.9 minutes on one core, the every-graph pass about 20 s, and 1,000
+scan cases about 5.8 minutes.
 """
 
 import argparse
@@ -43,8 +50,17 @@ from satgraph import _bits
 from satgraph.builder import check_product_lifting, sample_product_graph
 from satgraph.graphs import FiniteGraph, is_n_saturated, is_weakly_n_saturated, random_graph
 
-from conftest import uncover, without_edges
-from reference_loops import division_quotient_loops, product_lifting_loops, scan_missing_type
+from conftest import all_graphs, division_map, uncover, without_edges
+from reference_loops import division_quotient_loops, is_quotient_map, product_lifting_loops, scan_missing_type
+
+# (name, base, copies) of the every-graph quotient pass, each with k * copies = 6
+QUOTIENT_BASES = (
+    ("K3", FiniteGraph.complete(3), 2),
+    ("P3", FiniteGraph.from_edges(3, [(0, 1), (1, 2)]), 2),
+    ("edgeless 3", FiniteGraph.from_edges(3, []), 2),
+    ("K2", FiniteGraph.complete(2), 3),
+    ("edgeless 2", FiniteGraph.from_edges(2, []), 3),
+)
 
 
 def case(j: int):
@@ -122,7 +138,7 @@ def main(argv=None) -> int:
         _bits._DROP_GROUPS = 1 if j % 2 else drop_groups
         for n in (3, 4):
             for distinct in (False, True):
-                rep = check_product_lifting(g, base, m, n, distinct_bases=distinct)
+                rep = check_product_lifting(g, base, n, distinct_bases=distinct)
                 got = rep.counterexample, rep.quotient
                 want = product_lifting_loops(g, base, m, n, distinct), quotient
                 if got != want:
@@ -138,6 +154,23 @@ def main(argv=None) -> int:
         f"{args.cases} lifting cases, {4 * args.cases} lifting checks and their quotient messages agree "
         f"in {time.perf_counter() - start:.0f} s; checks by counterexample size (0: holds): "
         f"{dict(sorted(sizes.items()))}; quotient messages by first word: {dict(sorted(quotients.items()))}"
+    )
+    start = time.perf_counter()
+    kinds: dict[str, int] = {}
+    graphs = list(all_graphs(6))
+    for name, base, copies in QUOTIENT_BASES:
+        for g in graphs:
+            got = check_product_lifting(g, base, 1).quotient
+            want = division_quotient_loops(g, base, copies)
+            if got != want or (got is None) != is_quotient_map(division_map(g, base, copies - 1)):
+                print(f"every-graph quotient over {name}: edges {g.edges()}: got {got}, reference {want}")
+                return 1
+            kind = "passes" if got is None else got.split()[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+    print(
+        f"{len(QUOTIENT_BASES) * len(graphs)} graphs on 6 vertices over {len(QUOTIENT_BASES)} bases: "
+        f"quotient messages and verdicts agree in {time.perf_counter() - start:.0f} s; "
+        f"by first word: {dict(sorted(kinds.items()))}"
     )
     start = time.perf_counter()
     verdicts = {"holds": 0, "fails": 0}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from satgraph import _bits, builder
 from satgraph.builder import (
     AttemptsExhausted,
+    LiftingReport,
     attempt_seed,
     build_extension,
     check_product_lifting,
@@ -273,33 +274,44 @@ def test_build_refuses_scan_tables_before_sampling(monkeypatch):
 
 def test_lifting_check_vacuous_for_n1():
     g = sample_product_graph(K2, 2, seed=7)
-    assert check_product_lifting(g, K2, 2, 1).holds
+    assert check_product_lifting(g, K2, 1).holds
 
 
 def test_lifting_check_single_vertex_base():
     for seed in range(5):
         g = sample_product_graph(K1, 1, seed=seed)
-        assert check_product_lifting(g, K1, 1, 2).holds
+        assert check_product_lifting(g, K1, 2).holds
 
 
 def test_lifting_check_all_coins_absent_fails_at_far_copy():
     # the sample with every coin drawn absent: only the forced copy-0 edge
     # plus loops; vertex (1,1) has no neighbour in fiber 0
     g = FiniteGraph.from_edges(4, [(0, 2)])
-    rep = check_product_lifting(g, K2, 1, 2)
+    rep = check_product_lifting(g, K2, 2)
     assert not rep.holds
     assert rep.counterexample == (0, (3,))
 
 
 def test_lifting_check_size_mismatch():
+    # V = 6 holds no whole number of copies of a 4-vertex base
     g = sample_product_graph(K2, 2, seed=1)
-    with pytest.raises(ValueError):
-        check_product_lifting(g, K2, 3, 2)
+    with pytest.raises(ValueError, match="product encoding"):
+        check_product_lifting(g, FiniteGraph.complete(4), 2)
+
+
+def test_lifting_check_derives_the_copy_count():
+    # the bond's copy count comes from the sizes, so there is no argument
+    # for it: a call that passes one is refused, not read as n
+    g = sample_product_graph(K2, 2, seed=1)
+    with pytest.raises(TypeError):
+        check_product_lifting(g, K2, 2, 2)
+    # one copy (V == k) is the identity bond, which lifts
+    assert check_product_lifting(K2, K2, 3) == LiftingReport(True)
 
 
 def test_lifting_counterexample_rechecks():
     g = FiniteGraph.from_edges(4, [(0, 2)])
-    rep = check_product_lifting(g, K2, 1, 2)
+    rep = check_product_lifting(g, K2, 2)
     i, targets = rep.counterexample
     copies = 2
     for l in range(copies):
@@ -310,8 +322,8 @@ def test_lifting_distinct_bases_is_weaker():
     for seed in range(10):
         base = random_graph(3, seed=seed)
         g = sample_product_graph(base, 2, seed=seed + 50)
-        full = check_product_lifting(g, base, 2, 3)
-        distinct = check_product_lifting(g, base, 2, 3, distinct_bases=True)
+        full = check_product_lifting(g, base, 3)
+        distinct = check_product_lifting(g, base, 3, distinct_bases=True)
         if full.holds:
             assert distinct.holds
 
@@ -319,19 +331,19 @@ def test_lifting_distinct_bases_is_weaker():
 @pytest.mark.parametrize("seed, witness", [(0, (0, 1, 2)), (1, (0, 1, 3)), (6, (0, 1, 3)), (47, (1, 3, 4))])
 def test_lifting_triple_witness_over_k1(seed, witness):
     g = sample_product_graph(K1, 4, seed=seed)
-    assert check_product_lifting(g, K1, 4, 3).holds
-    rep = check_product_lifting(g, K1, 4, 4)
+    assert check_product_lifting(g, K1, 3).holds
+    rep = check_product_lifting(g, K1, 4)
     assert rep.counterexample == (0, witness) == product_lifting_loops(g, K1, 4, 4)
     assert not any(all(g.adjacent(copy, t) for t in witness) for copy in range(5))
     # every target lies over the one base vertex, so nothing is left to check
-    assert check_product_lifting(g, K1, 4, 4, distinct_bases=True).holds
+    assert check_product_lifting(g, K1, 4, distinct_bases=True).holds
 
 
 def test_lifting_four_target_witness_over_k4():
     g, base, m = orthogonal_fibers()
     for distinct, witness in ((False, (0, 1, 3, 14)), (True, (0, 16, 33, 53))):
-        assert check_product_lifting(g, base, m, 4, distinct_bases=distinct).holds
-        rep = check_product_lifting(g, base, m, 5, distinct_bases=distinct)
+        assert check_product_lifting(g, base, 4, distinct_bases=distinct).holds
+        rep = check_product_lifting(g, base, 5, distinct_bases=distinct)
         assert rep.counterexample == (0, witness) == product_lifting_loops(g, base, m, 5, distinct)
         assert not any(all(g.adjacent(copy, t) for t in witness) for copy in range(m + 1))
 
@@ -352,7 +364,7 @@ def test_lifting_block_tuples_match_reference_loop(n, block, monkeypatch):
                 base = FiniteGraph.complete(k) if seed % 2 else random_graph(k, seed=seed)
                 g = sample_product_graph(base, m, seed=seed)
                 for distinct in (False, True):
-                    rep = check_product_lifting(g, base, m, n, distinct_bases=distinct)
+                    rep = check_product_lifting(g, base, n, distinct_bases=distinct)
                     assert rep.counterexample == product_lifting_loops(g, base, m, n, distinct)
                     size = len(rep.counterexample[1]) if rep.counterexample else 0
                     outcomes[distinct, size] = outcomes.get((distinct, size), 0) + 1
@@ -398,7 +410,7 @@ def test_lifting_kernel_edges_match_reference_loop(k, copies):
     for h in graphs:
         for n in (3, 4):
             for distinct in (False, True):
-                rep = check_product_lifting(h, base, m, n, distinct_bases=distinct)
+                rep = check_product_lifting(h, base, n, distinct_bases=distinct)
                 assert rep.counterexample == product_lifting_loops(h, base, m, n, distinct)
                 sizes.add(len(rep.counterexample[1]) if rep.counterexample else 0)
     # the tuple kernel reported counterexamples; few copies leave no level
@@ -490,7 +502,7 @@ from satgraph.towers import extend_tower, new_tower
 base = extend_tower(new_tower(3, seed=7)).levels[1]
 g = sample_product_graph(base, 81, seed=1)
 tracemalloc.start()
-holds = check_product_lifting(g, base, 81, 3).holds
+holds = check_product_lifting(g, base, 3).holds
 print(holds, g.packed_rows.nbytes, tracemalloc.get_traced_memory()[1])
 """
 
@@ -524,7 +536,7 @@ def test_build_certified_n2():
     g, attempts = build_extension(2, K2, seed=42, max_attempts=1000)
     assert g.vertex_count == 2 * 7  # certified m = 6
     assert is_n_saturated(g, 2).holds
-    assert check_product_lifting(g, K2, 6, 2).holds
+    assert check_product_lifting(g, K2, 2).holds
     assert is_quotient_map(division_map(g, K2, 6))
 
 
@@ -541,7 +553,7 @@ def test_build_empirical_small_m_verified_if_it_returns():
     except AttemptsExhausted:
         return
     assert is_n_saturated(g, 2).holds
-    assert check_product_lifting(g, K2, 2, 2).holds
+    assert check_product_lifting(g, K2, 2).holds
 
 
 def test_build_requires_weakly_saturated_base():

@@ -146,8 +146,7 @@ def test_verify_scans_each_level_once(tower_file, capsys, monkeypatch):
             if name == "is_n_saturated":
                 scans[digest(g)] += 1
             else:
-                distinct = kwargs.get("distinct_bases", args[3] if len(args) > 3 else False)
-                liftings[digest(g), distinct] += 1
+                liftings[digest(g), kwargs.get("distinct_bases", False)] += 1
             return real(g, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)

@@ -22,6 +22,7 @@ from satgraph.graphs import (
 )
 from satgraph.towers import extend_tower, new_tower
 
+from conftest import all_graphs
 from reference_loops import first_missing_type_loops, scan_missing_type
 
 
@@ -77,6 +78,10 @@ def test_from_rows_round_trip_and_validation():
     for masks in ([-1, 0b010, 0b100], [1 << 70, 0b010, 0b100], [0b1001, 0b010, 0b100], [1 << 64, 0b010, 0b100]):
         with pytest.raises(ValueError, match="out of vertex range"):
             FiniteGraph.from_rows(masks)
+    # 1.5 is no mask (it raised AttributeError); numpy integers are masks
+    with pytest.raises(TypeError):
+        FiniteGraph.from_rows([1.5, 3])
+    assert FiniteGraph.from_rows([np.int64(3), np.int64(3)]) == FiniteGraph.complete(2)
 
 
 def test_from_edges_rejects_bad_input():
@@ -84,6 +89,32 @@ def test_from_edges_rejects_bad_input():
         FiniteGraph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         FiniteGraph.from_edges(2, [(1, 1)])
+    # casting would build (0, 1) and (0, 2) from these
+    for edges in ([(0, 1.5)], [(0.9, 2)]):
+        with pytest.raises(ValueError, match="must be integers"):
+            FiniteGraph.from_edges(3, edges)
+    assert FiniteGraph.from_edges(3, np.array([[0, 2]], dtype=np.uint8)).edges() == [(0, 2)]
+
+
+def test_dense_and_packed_constructors_reject_non_bits():
+    # casting would read 0.6 as no edge, 2 as an edge, 257 (int64) as 1 and
+    # the words 3.7 and 3.2 as 3
+    for off in (0.6, 2, 257, -1):
+        dense = np.array([[1, off], [off, 1]])
+        with pytest.raises(ValueError, match="0 or 1"):
+            FiniteGraph.from_dense(dense)
+    assert FiniteGraph.from_dense(np.ones((2, 2), dtype=bool)) == FiniteGraph.complete(2)
+    with pytest.raises(ValueError, match="integer words"):
+        FiniteGraph(2, [[3.7], [3.2]])
+
+
+def test_graph_does_not_share_the_callers_rows():
+    base = np.array([[3], [3]], dtype=np.uint64)
+    g = FiniteGraph(2, base[:])
+    base[0, 0] = 1
+    assert g.adjacent(0, 1) and g.adjacent(1, 0)
+    assert g.row_popcounts().tolist() == [2, 2]
+    assert g == FiniteGraph.complete(2)
 
 
 def test_from_edges_in_chunks_matches_dense():
@@ -206,12 +237,6 @@ def test_small_vertex_count_edge_case():
 
 
 # -- oracle cross-validation ---------------------------------------------------
-
-
-def all_graphs(v):
-    pairs = list(itertools.combinations(range(v), 2))
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        yield FiniteGraph.from_edges(v, [p for p, b in zip(pairs, bits) if b])
 
 
 def test_small_vertex_counts_match_reference_loop():

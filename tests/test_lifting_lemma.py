@@ -110,7 +110,7 @@ def test_planted_hole_over_two_fibers_breaks_a_premise(tower_n3_depth2, fully_sc
     level1, top = t.levels[1], t.levels[2]
     planted = plant_hole(top, 5, 82 + 7, sign)
     assert graphs._missing_type_collapsed(planted, 82) is None
-    rep = check_product_lifting(planted, level1, 81, 3, distinct_bases=True)
+    rep = check_product_lifting(planted, level1, 3, distinct_bases=True)
     if sign == 0:
         assert rep.quotient is not None
     else:
@@ -138,7 +138,7 @@ def test_hole_over_two_fibers_at_level_1_is_found(tower_n3_depth2, fully_scanned
     k3, level1 = t.levels[0], t.levels[1]
     planted = plant_hole(level1, 3, 40 + 9, sign=0)
     assert graphs._missing_type_collapsed(planted, 40) is None
-    assert check_product_lifting(planted, k3, 39, 3).holds
+    assert check_product_lifting(planted, k3, 3).holds
     report = verify_tower(Tower(3, t.seed, (k3, planted), t.per_level_m[:1]))
     assert report.first_failure == full_scan_text(planted, 1)
     assert fully_scanned == [120]
@@ -162,7 +162,7 @@ def small_tower():
     level2 = sample_product_graph(level1, 60, seed=0)
     t = Tower(3, 0, (k3, level1, level2), (14, 60))
     assert is_n_saturated(level1, 3).holds
-    assert check_product_lifting(level2, level1, 60, 3).holds
+    assert check_product_lifting(level2, level1, 3).holds
     return t
 
 
@@ -208,7 +208,7 @@ def test_random_flips_agree_with_full_scan(small_tower, fully_scanned, monkeypat
         want = full_scan_report(flipped, monkeypatch)
         assert report.checks == want.checks, case
         saturated = ("saturation[level 2]", True, "") in want.checks
-        lifts = check_product_lifting(g, level1, 60, 3).holds
+        lifts = check_product_lifting(g, level1, 3).holds
         assert accepts(g, level1, 60, monkeypatch) == (saturated and lifts), case
     # bond 0 never lifts here, so lifting[bond 1] is never the first failure
     assert outcomes == {

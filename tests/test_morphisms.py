@@ -156,7 +156,7 @@ def test_lifting_matches_product_check_on_small_instances():
         holds = []
         for n in (2, 3, 4, 5):
             general = check_lifting_property(p, n)
-            structured = check_product_lifting(g, base, m, n, distinct_bases=True)
+            structured = check_product_lifting(g, base, n, distinct_bases=True)
             assert general.holds == structured.holds, (base.vertex_count, m, n)
             holds.append(structured.holds)
         verdicts.add(tuple(holds))

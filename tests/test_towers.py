@@ -22,7 +22,6 @@ from satgraph.towers import (
     canonical_extension,
     canonical_thread,
     check_realization,
-    extend_realizer,
     extend_tower,
     level_build_seed,
     matches_seed,
@@ -34,7 +33,7 @@ from satgraph.towers import (
     verify_tower,
 )
 
-from conftest import division_map, without_edges
+from conftest import all_graphs, division_map, without_edges
 from reference_loops import compose, division_quotient_loops, is_quotient_map, product_lifting_loops
 
 
@@ -174,9 +173,9 @@ def test_verify_catches_added_edge(t2_small):
 
 def quotient_message(g: FiniteGraph, base: FiniteGraph, copies: int):
     """The quotient check's message, which must be the reference loop's at n = 1 and n = 2."""
-    got = check_product_lifting(g, base, copies - 1, 1).quotient
+    got = check_product_lifting(g, base, 1).quotient
     assert got == division_quotient_loops(g, base, copies)
-    assert check_product_lifting(g, base, copies - 1, 2).quotient == got
+    assert check_product_lifting(g, base, 2).quotient == got
     return got
 
 
@@ -188,6 +187,23 @@ def cross_edges(g: FiniteGraph, copies: int, i: int, j: int) -> list[tuple[int, 
         for w in range(j * copies, (j + 1) * copies)
         if g.adjacent(u, w)
     ]
+
+
+def test_quotient_check_on_every_graph_of_four_vertices():
+    # every graph on V = 4 over K2 and over the edgeless 2-vertex graph, at
+    # m = 1: the message is the reference loop's, and it is None exactly
+    # when the generic oracle finds the division map a quotient map
+    kinds = {}
+    for base in (FiniteGraph.complete(2), FiniteGraph.from_edges(2, [])):
+        for g in all_graphs(4):
+            message = quotient_message(g, base, 2)
+            assert (message is None) == is_quotient_map(division_map(g, base, 1))
+            kind = message and message.split()[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+    # 4 of the 64 graphs have no edge between fibers {0, 1} and {2, 3}: over
+    # K2 they miss the base edge, and over the edgeless base the other 60
+    # carry an edge it lacks
+    assert kinds == {None: 64, "an": 60, "edge": 4}, kinds
 
 
 def test_quotient_passes_every_single_edge_deletion():
@@ -237,12 +253,12 @@ def test_quotient_skips_rows_that_only_miss_part_of_a_fiber(t2):
     k = base.vertex_count
     j = next(j for j in range(1, k) if base.adjacent(0, j))
     g = without_edges(top, [(u, j * copies) for u in range(copies) if top.adjacent(u, j * copies)])
-    assert check_product_lifting(g, base, copies - 1, 2).counterexample == (0, (j * copies,))
+    assert check_product_lifting(g, base, 2).counterexample == (0, (j * copies,))
     assert quotient_message(g, base, copies) is None
     p, q = next((p, q) for p in range(max(2, j + 1), k) for q in range(p + 1, k) if not base.adjacent(p, q))
     g = FiniteGraph.from_edges(g.vertex_count, g.edges() + [(p * copies, q * copies + 1)])
     assert quotient_message(g, base, copies) == f"an edge between fibers {p} and {q} maps onto a non-edge"
-    rep = check_product_lifting(g, base, copies - 1, 3)
+    rep = check_product_lifting(g, base, 3)
     assert not rep.holds
     assert rep.counterexample == product_lifting_loops(g, base, copies - 1, 3) == (0, (j * copies,))
     assert rep.quotient == division_quotient_loops(g, base, copies)
@@ -261,8 +277,8 @@ def test_lifting_failure_after_a_quotient_failure_is_reported(t2):
     g = without_edges(g, [(u, t) for u in range(i * copies, k * copies) if g.adjacent(u, t)])
     message = f"an edge between fibers 0 and {q} maps onto a non-edge"
     assert division_quotient_loops(g, base, copies) == message
-    assert check_product_lifting(g, base, copies - 1, 2) == LiftingReport(False, (i, (t,)), message)
-    rep = check_product_lifting(g, base, copies - 1, 3)
+    assert check_product_lifting(g, base, 2) == LiftingReport(False, (i, (t,)), message)
+    rep = check_product_lifting(g, base, 3)
     assert (rep.counterexample, rep.quotient) == (product_lifting_loops(g, base, copies - 1, 3), message)
 
 
@@ -285,9 +301,9 @@ def test_each_check_reports_its_first_failure_in_a_later_chunk(late):
     dense[2 * quot_at, 2 * quot_at + 2] = dense[2 * quot_at + 2, 2 * quot_at] = 1
     base, g = FiniteGraph.from_dense(base_dense), FiniteGraph.from_dense(dense)
     message = f"an edge between fibers {quot_at} and {quot_at + 1} maps onto a non-edge"
-    rep = check_product_lifting(g, base, copies - 1, 2)
+    rep = check_product_lifting(g, base, 2)
     assert (rep.holds, rep.counterexample, rep.quotient) == (False, (lift_at, (2 * lift_at + 6,)), message)
-    assert check_product_lifting(g, base, copies - 1, 1) == LiftingReport(True, None, message)
+    assert check_product_lifting(g, base, 1) == LiftingReport(True, None, message)
 
 
 def test_verify_reports_a_quotient_failure_at_n1():
@@ -583,33 +599,28 @@ def test_realize_zero_type_on_depth0_requires_extension():
     assert h.separation_level == 1
 
 
-def test_extend_realizer_matches_fresh_realization(t2_small):
-    c = random_thread(t2_small, 3)
-    shallow = t2_small.truncated(1)
-    h1 = realize_type(shallow, [(ThreadPrefix(c.entries[:2]), 1)])
-    h2 = extend_realizer(t2_small, h1)
-    ok, why = check_realization(t2_small, h2)
-    assert ok, why
-    # determinism: realizing on the deeper tower with the canonical
-    # extension of the same constraint gives the same prefix
-    direct = realize_type(
-        t2_small, [(canonical_extension(t2_small, ThreadPrefix(c.entries[:2]), 2), 1)]
-    )
-    assert direct.prefix == h2.prefix
+def test_realize_type_is_stable_under_growth(t2_small):
+    # a realizer found before the tower grew is the leading part of the one
+    # found after: the separation level and the realizer are decided on
+    # levels that did not change, and each lift is the smallest admissible
+    # preimage
+    for seed in range(8):
+        c = random_thread(t2_small, seed)
+        for bit in (0, 1):
+            deep = realize_type(t2_small, [(c, bit)])
+            assert check_realization(t2_small, deep) == (True, None)
+            for d in range(t2_small.depth):
+                try:
+                    h = realize_type(t2_small.truncated(d), [(ThreadPrefix(c.entries[: d + 1]), bit)])
+                except NotSeparated:
+                    assert (d, bit) == (0, 0)  # K2 realizes no non-adjacency
+                    continue
+                assert deep.prefix.entries[: d + 1] == h.prefix.entries
+                assert deep.separation_level == h.separation_level
 
 
-def test_extend_realizer_without_growth_fails(t2_small):
-    h = realize_type(t2_small, [])
-    with pytest.raises(ValueError):
-        extend_realizer(t2_small, h)
-
-
-def test_extend_constraint_free_handle_is_canonical(t2_small):
-    shallow = t2_small.truncated(0)
-    h = realize_type(shallow, [])
-    h1 = extend_realizer(t2_small, h)
-    h2 = extend_realizer(t2_small, h1)
-    assert h2.prefix == canonical_thread(t2_small, 0, 0)
+def test_constraint_free_realizer_is_canonical(t2_small):
+    assert realize_type(t2_small, []).prefix == canonical_thread(t2_small, 0, 0)
 
 
 def test_realizer_differs_from_constraints_at_separation(t2_small):
